@@ -15,14 +15,14 @@ pub fn full_checkpoint(p: &Process) -> CheckpointImage {
             id: v.id,
             kind: v.kind,
             start: v.start,
-            pages: v.pages.len(),
+            pages: v.page_count(),
         })
         .collect();
     let pages: Vec<PageRef> = p
         .addr_space
         .vmas()
         .flat_map(|v| {
-            v.pages.iter().enumerate().map(move |(i, pg)| PageRef {
+            v.pages().enumerate().map(move |(i, pg)| PageRef {
                 vma: v.id,
                 index: i,
                 fingerprint: pg.fingerprint,

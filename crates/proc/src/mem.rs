@@ -3,16 +3,22 @@
 //! Mirrors what the paper's precopy implementation tracks (§V-A):
 //!
 //! * **dirty pages** inside existing regions, via the PTE dirty bit — here a
-//!   `dirty` flag per page, cleared when the incremental checkpointer
-//!   collects the page;
+//!   dirty bitmap per region (one bit per page), cleared when the
+//!   incremental checkpointer collects the page;
 //! * **changes to the address space itself** — insertions (mmap),
 //!   modifications (grow/shrink) and removals (munmap) of regions, which the
 //!   paper detects by diffing the live `vm_area_struct` list against a
 //!   tracking list (the diffing lives in `dvelm-ckpt`; this module exposes
 //!   the live list).
+//!
+//! Page state is stored column-wise per region: a dense `Vec<u64>` of
+//! fingerprints, a `Vec<u64>` dirty bitmap and the region's dirty count. A
+//! region never written since `mmap` stores only its seed — page `i` holds
+//! `mix(seed, i)`, computed when read — and becomes dense on its first
+//! write, resize or restore-path page. Game clients never write their
+//! pages, so each of them costs a few words instead of 8 bytes per page.
 
 use dvelm_sim::DetRng;
-use std::collections::BTreeMap;
 
 /// Page size in bytes (x86-64 small pages, as on the paper's Opterons).
 pub const PAGE_SIZE: u64 = 4096;
@@ -36,7 +42,7 @@ pub enum VmaKind {
     Anon,
 }
 
-/// One page: content fingerprint + dirty bit.
+/// One page: content fingerprint + dirty bit (a value read out of a [`Vma`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Page {
     /// 64-bit stand-in for the page contents.
@@ -45,25 +51,154 @@ pub struct Page {
     pub dirty: bool,
 }
 
+/// Page fingerprints of one region.
+#[derive(Debug, Clone)]
+enum Contents {
+    /// Never written since `mmap`: page `i` holds `mix(seed, i)`.
+    Seeded { seed: u64, len: usize },
+    /// One fingerprint per page.
+    Dense(Vec<u64>),
+}
+
+impl Contents {
+    fn len(&self) -> usize {
+        match self {
+            Contents::Seeded { len, .. } => *len,
+            Contents::Dense(f) => f.len(),
+        }
+    }
+
+    /// Fingerprint of page `i`; the caller checks `i < len()`.
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            Contents::Seeded { seed, .. } => mix(*seed, i as u64),
+            Contents::Dense(f) => f[i],
+        }
+    }
+}
+
 /// A mapped region (`vm_area_struct` analogue).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Vma {
     pub id: VmaId,
     pub kind: VmaKind,
     /// Virtual start address (page aligned).
     pub start: u64,
-    pub pages: Vec<Page>,
+    contents: Contents,
+    /// Bit `i % 64` of word `i / 64` is page `i`'s dirty bit. Bits past the
+    /// last page are always clear, so a shrink followed by a grow cannot
+    /// bring stale dirty pages back.
+    dirty: Vec<u64>,
+    /// Set bits in `dirty`.
+    dirty_count: usize,
 }
 
+impl PartialEq for Vma {
+    /// Regions are equal when their metadata and every page are; whether
+    /// the fingerprints are stored or computed does not matter.
+    fn eq(&self, other: &Vma) -> bool {
+        self.id == other.id
+            && self.kind == other.kind
+            && self.start == other.start
+            && self.pages().eq(other.pages())
+    }
+}
+
+impl Eq for Vma {}
+
 impl Vma {
+    /// Number of pages in the region.
+    pub fn page_count(&self) -> usize {
+        self.contents.len()
+    }
+
     /// Region length in bytes.
     pub fn len_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
+        self.page_count() as u64 * PAGE_SIZE
     }
 
     /// One-past-the-end virtual address.
     pub fn end(&self) -> u64 {
         self.start + self.len_bytes()
+    }
+
+    /// Page `i`. Panics if `i` is out of range.
+    pub fn page(&self, i: usize) -> Page {
+        let len = self.page_count();
+        assert!(i < len, "page {i} out of range for a {len}-page VMA");
+        Page {
+            fingerprint: self.contents.get(i),
+            dirty: self.dirty[i / 64] & bit(i) != 0,
+        }
+    }
+
+    /// Every page, in index order.
+    pub fn pages(&self) -> impl ExactSizeIterator<Item = Page> + '_ {
+        (0..self.page_count()).map(|i| self.page(i))
+    }
+
+    /// The stored fingerprints, materialising a never-written region first.
+    fn fingerprints_mut(&mut self) -> &mut Vec<u64> {
+        if let Contents::Seeded { seed, len } = self.contents {
+            self.contents = Contents::Dense((0..len as u64).map(|i| mix(seed, i)).collect());
+        }
+        match &mut self.contents {
+            Contents::Dense(f) => f,
+            Contents::Seeded { .. } => unreachable!("contents were made dense above"),
+        }
+    }
+
+    /// Write page `i`: new fingerprint, dirty bit set.
+    fn write(&mut self, i: usize) {
+        let f = &mut self.fingerprints_mut()[i];
+        *f = mix(*f, 0x9E37_79B9);
+        let word = &mut self.dirty[i / 64];
+        if *word & bit(i) == 0 {
+            *word |= bit(i);
+            self.dirty_count += 1;
+        }
+    }
+
+    /// Grow or shrink to `len` pages. Grown page `i` holds `fill(i)` and is
+    /// dirty if `dirty` is set; a shrink drops the dirty bits it cuts off.
+    fn set_len(&mut self, len: usize, dirty: bool, fill: impl Fn(u64) -> u64) {
+        let old = self.page_count();
+        let fps = self.fingerprints_mut();
+        if len >= old {
+            fps.extend((old as u64..len as u64).map(fill));
+            self.dirty.resize(len.div_ceil(64), 0);
+            if dirty {
+                set_bits(&mut self.dirty, old..len);
+                self.dirty_count += len - old;
+            }
+            return;
+        }
+        fps.truncate(len);
+        // Drop the dirty bits of the cut pages: whole words, then the tail
+        // of the new last word.
+        let words = len.div_ceil(64);
+        let mut cut: u32 = self.dirty[words..].iter().map(|w| w.count_ones()).sum();
+        self.dirty.truncate(words);
+        if !len.is_multiple_of(64) {
+            let last = &mut self.dirty[words - 1];
+            let keep = bit(len) - 1;
+            cut += (*last & !keep).count_ones();
+            *last &= keep;
+        }
+        self.dirty_count -= cut as usize;
+    }
+}
+
+/// Mask of page `i`'s bit within its bitmap word.
+#[inline]
+fn bit(i: usize) -> u64 {
+    1 << (i % 64)
+}
+
+/// Set the dirty bits of pages `range`.
+fn set_bits(words: &mut [u64], range: std::ops::Range<usize>) {
+    for i in range {
+        words[i / 64] |= bit(i);
     }
 }
 
@@ -78,12 +213,8 @@ pub struct PageRef {
 /// A process address space.
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
-    vmas: BTreeMap<VmaId, Vma>,
-    /// Dirty pages per live region (same key set as `vmas`). Lets the
-    /// checkpointer skip clean regions — and stop scanning a region once its
-    /// last dirty page is found — instead of sweeping every page of every
-    /// region per precopy iteration.
-    dirty_counts: BTreeMap<VmaId, usize>,
+    /// Live regions, sorted by id.
+    vmas: Vec<Vma>,
     next_vma: u64,
     next_addr: u64,
     /// Total pages ever dirtied (statistics).
@@ -94,8 +225,7 @@ impl AddressSpace {
     /// An empty address space.
     pub fn new() -> AddressSpace {
         AddressSpace {
-            vmas: BTreeMap::new(),
-            dirty_counts: BTreeMap::new(),
+            vmas: Vec::new(),
             next_vma: 1,
             next_addr: 0x0000_5555_0000_0000,
             dirtied_total: 0,
@@ -109,111 +239,90 @@ impl AddressSpace {
         self.next_vma += 1;
         let start = self.next_addr;
         self.next_addr += (pages as u64 + 16) * PAGE_SIZE; // guard gap
-        self.dirty_counts.insert(id, pages);
-        let pages = (0..pages)
-            .map(|i| Page {
-                fingerprint: mix(seed, i as u64),
-                dirty: true,
-            })
-            .collect();
-        self.vmas.insert(
+        let mut dirty = vec![0; pages.div_ceil(64)];
+        set_bits(&mut dirty, 0..pages);
+        self.insert(Vma {
             id,
-            Vma {
-                id,
-                kind,
-                start,
-                pages,
-            },
-        );
+            kind,
+            start,
+            contents: Contents::Seeded { seed, len: pages },
+            dirty,
+            dirty_count: pages,
+        });
         id
     }
 
     /// Unmap a region.
     pub fn munmap(&mut self, id: VmaId) -> bool {
-        self.dirty_counts.remove(&id);
-        self.vmas.remove(&id).is_some()
+        match self.position(id) {
+            Ok(i) => {
+                self.vmas.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Grow or shrink a region to `pages` pages (heap growth, stack growth).
     /// New pages start dirty.
     pub fn resize(&mut self, id: VmaId, pages: usize, seed: u64) {
-        let vma = self.vmas.get_mut(&id).expect("resize of unmapped VMA");
-        let count = self
-            .dirty_counts
-            .get_mut(&id)
-            .expect("dirty count of mapped VMA");
-        let old = vma.pages.len();
-        if pages > old {
-            vma.pages.extend((old..pages).map(|i| Page {
-                fingerprint: mix(seed, i as u64),
-                dirty: true,
-            }));
-            *count += pages - old;
-        } else {
-            *count -= vma.pages[pages..].iter().filter(|p| p.dirty).count();
-            vma.pages.truncate(pages);
-        }
+        self.vma_mut(id, "resize of unmapped VMA")
+            .set_len(pages, true, |i| mix(seed, i));
     }
 
     /// Write to a page: new fingerprint, dirty bit set.
     pub fn write_page(&mut self, id: VmaId, index: usize) {
-        let vma = self.vmas.get_mut(&id).expect("write to unmapped VMA");
-        let page = &mut vma.pages[index];
-        page.fingerprint = mix(page.fingerprint, 0x9E37_79B9);
-        if !page.dirty {
-            page.dirty = true;
-            *self
-                .dirty_counts
-                .get_mut(&id)
-                .expect("dirty count of mapped VMA") += 1;
-        }
+        self.vma_mut(id, "write to unmapped VMA").write(index);
         self.dirtied_total += 1;
     }
 
-    /// Dirty `count` randomly chosen pages of writable regions — the
-    /// workload's memory activity between precopy iterations.
+    /// Dirty `count` pages — the workload's memory activity between precopy
+    /// iterations. Each write first picks a writable (non-text, non-empty)
+    /// region uniformly at random, then a page uniformly within it. Regions
+    /// are weighted equally, not by size: a process's 64-page stack takes
+    /// as many writes as its 4,096-page data region.
     pub fn dirty_random(&mut self, rng: &mut DetRng, count: usize) {
-        let writable: Vec<(VmaId, usize)> = self
-            .vmas
-            .values()
-            .filter(|v| v.kind != VmaKind::Text && !v.pages.is_empty())
-            .map(|v| (v.id, v.pages.len()))
-            .collect();
-        if writable.is_empty() {
+        let writable = |v: &&mut Vma| v.kind != VmaKind::Text && v.page_count() > 0;
+        let regions = self.vmas.iter_mut().filter(writable).count();
+        if regions == 0 {
             return;
         }
         for _ in 0..count {
-            let (id, len) = writable[rng.index(writable.len())];
-            let idx = rng.index(len);
-            self.write_page(id, idx);
+            let k = rng.index(regions);
+            let vma = self
+                .vmas
+                .iter_mut()
+                .filter(writable)
+                .nth(k)
+                .expect("k < number of writable regions");
+            let idx = rng.index(vma.page_count());
+            vma.write(idx);
         }
+        self.dirtied_total += count as u64;
     }
 
-    /// Collect and clear every dirty page (one precopy iteration's payload).
-    /// Clean regions are skipped wholesale via the per-region dirty counts,
-    /// and a region's scan stops at its last dirty page — steady-state
-    /// iterations over a mostly-clean space touch almost nothing.
+    /// Collect and clear every dirty page (one precopy iteration's payload),
+    /// in region-id then page-index order. Clean regions are skipped via
+    /// their dirty counts, and dirty ones are walked a bitmap word at a
+    /// time — steady-state iterations over a mostly-clean space touch
+    /// almost nothing.
     pub fn collect_dirty(&mut self) -> Vec<PageRef> {
-        let mut out = Vec::with_capacity(self.dirty_counts.values().sum());
-        for (&id, count) in self.dirty_counts.iter_mut() {
-            let mut remaining = *count;
-            if remaining == 0 {
+        let mut out = Vec::with_capacity(self.dirty_count());
+        for vma in &mut self.vmas {
+            if vma.dirty_count == 0 {
                 continue;
             }
-            *count = 0;
-            let vma = self.vmas.get_mut(&id).expect("dirty count of mapped VMA");
-            for (i, page) in vma.pages.iter_mut().enumerate() {
-                if page.dirty {
-                    page.dirty = false;
+            vma.dirty_count = 0;
+            for (w, word) in vma.dirty.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let index = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
                     out.push(PageRef {
-                        vma: id,
-                        index: i,
-                        fingerprint: page.fingerprint,
+                        vma: vma.id,
+                        index,
+                        fingerprint: vma.contents.get(index),
                     });
-                    remaining -= 1;
-                    if remaining == 0 {
-                        break; // the rest of the region is clean
-                    }
                 }
             }
         }
@@ -222,17 +331,17 @@ impl AddressSpace {
 
     /// Count dirty pages without clearing.
     pub fn dirty_count(&self) -> usize {
-        self.dirty_counts.values().sum()
+        self.vmas.iter().map(|v| v.dirty_count).sum()
     }
 
     /// Live regions, in id order.
     pub fn vmas(&self) -> impl Iterator<Item = &Vma> {
-        self.vmas.values()
+        self.vmas.iter()
     }
 
     /// Look up one region.
     pub fn vma(&self, id: VmaId) -> Option<&Vma> {
-        self.vmas.get(&id)
+        self.position(id).ok().map(|i| &self.vmas[i])
     }
 
     /// Number of regions.
@@ -242,23 +351,23 @@ impl AddressSpace {
 
     /// Resident size in bytes.
     pub fn rss_bytes(&self) -> u64 {
-        self.vmas.values().map(Vma::len_bytes).sum()
+        self.vmas.iter().map(Vma::len_bytes).sum()
     }
 
     /// Total pages mapped.
     pub fn total_pages(&self) -> usize {
-        self.vmas.values().map(|v| v.pages.len()).sum()
+        self.vmas.iter().map(Vma::page_count).sum()
     }
 
     /// Order- and content-sensitive hash of the full address space, used to
     /// verify restore fidelity.
     pub fn content_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for vma in self.vmas.values() {
+        for vma in &self.vmas {
             h = mix(h, vma.id.0);
             h = mix(h, vma.start);
-            for p in &vma.pages {
-                h = mix(h, p.fingerprint);
+            for i in 0..vma.page_count() {
+                h = mix(h, vma.contents.get(i));
             }
         }
         h
@@ -266,18 +375,12 @@ impl AddressSpace {
 
     /// Apply a page write received from a checkpoint stream (restore path).
     pub fn apply_page(&mut self, r: PageRef) {
-        let vma = self
-            .vmas
-            .get_mut(&r.vma)
-            .expect("apply_page to unmapped VMA");
-        let page = &mut vma.pages[r.index];
-        page.fingerprint = r.fingerprint;
-        if page.dirty {
-            page.dirty = false;
-            *self
-                .dirty_counts
-                .get_mut(&r.vma)
-                .expect("dirty count of mapped VMA") -= 1;
+        let vma = self.vma_mut(r.vma, "apply_page to unmapped VMA");
+        vma.fingerprints_mut()[r.index] = r.fingerprint;
+        let word = &mut vma.dirty[r.index / 64];
+        if *word & bit(r.index) != 0 {
+            *word &= !bit(r.index);
+            vma.dirty_count -= 1;
         }
     }
 
@@ -285,45 +388,40 @@ impl AddressSpace {
     /// zeroed and clean; contents arrive via [`apply_page`](Self::apply_page).
     pub fn install_vma(&mut self, id: VmaId, kind: VmaKind, start: u64, pages: usize) {
         self.next_vma = self.next_vma.max(id.0 + 1);
-        self.dirty_counts.insert(id, 0);
-        self.vmas.insert(
+        self.insert(Vma {
             id,
-            Vma {
-                id,
-                kind,
-                start,
-                pages: vec![
-                    Page {
-                        fingerprint: 0,
-                        dirty: false
-                    };
-                    pages
-                ],
-            },
-        );
+            kind,
+            start,
+            contents: Contents::Dense(vec![0; pages]),
+            dirty: vec![0; pages.div_ceil(64)],
+            dirty_count: 0,
+        });
     }
 
-    /// Resize during restore (VMA-diff modification record).
+    /// Resize during restore (VMA-diff modification record). Grown pages
+    /// start zeroed and clean.
     pub fn restore_resize(&mut self, id: VmaId, pages: usize) {
-        let vma = self
-            .vmas
-            .get_mut(&id)
-            .expect("restore_resize of unmapped VMA");
-        if pages < vma.pages.len() {
-            // A shrink can discard pages that were dirty.
-            *self
-                .dirty_counts
-                .get_mut(&id)
-                .expect("dirty count of mapped VMA") -=
-                vma.pages[pages..].iter().filter(|p| p.dirty).count();
+        self.vma_mut(id, "restore_resize of unmapped VMA")
+            .set_len(pages, false, |_| 0);
+    }
+
+    fn position(&self, id: VmaId) -> Result<usize, usize> {
+        self.vmas.binary_search_by_key(&id, |v| v.id)
+    }
+
+    /// Insert a region, replacing any region with the same id.
+    fn insert(&mut self, vma: Vma) {
+        match self.position(vma.id) {
+            Ok(i) => self.vmas[i] = vma,
+            Err(i) => self.vmas.insert(i, vma),
         }
-        vma.pages.resize(
-            pages,
-            Page {
-                fingerprint: 0,
-                dirty: false,
-            },
-        );
+    }
+
+    fn vma_mut(&mut self, id: VmaId, unmapped: &str) -> &mut Vma {
+        match self.position(id) {
+            Ok(i) => &mut self.vmas[i],
+            Err(_) => panic!("{unmapped}"),
+        }
     }
 }
 
@@ -345,7 +443,7 @@ mod tests {
         assert_eq!(a.dirty_count(), 10);
         assert_eq!(a.total_pages(), 10);
         assert_eq!(a.rss_bytes(), 10 * PAGE_SIZE);
-        assert_eq!(a.vma(id).unwrap().pages.len(), 10);
+        assert_eq!(a.vma(id).unwrap().page_count(), 10);
     }
 
     #[test]
@@ -363,10 +461,10 @@ mod tests {
         let mut a = AddressSpace::new();
         let id = a.mmap(VmaKind::Data, 3, 1);
         a.collect_dirty();
-        let before = a.vma(id).unwrap().pages[1].fingerprint;
+        let before = a.vma(id).unwrap().page(1).fingerprint;
         a.write_page(id, 1);
         assert_eq!(a.dirty_count(), 1);
-        assert_ne!(a.vma(id).unwrap().pages[1].fingerprint, before);
+        assert_ne!(a.vma(id).unwrap().page(1).fingerprint, before);
         let d = a.collect_dirty();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].index, 1);
@@ -380,14 +478,11 @@ mod tests {
         a.collect_dirty();
         let mut rng = DetRng::new(1);
         a.dirty_random(&mut rng, 500);
-        let text_dirty = a
-            .vma(text)
-            .unwrap()
-            .pages
-            .iter()
-            .filter(|p| p.dirty)
-            .count();
-        assert_eq!(text_dirty, 0, "text pages never dirtied");
+        assert_eq!(
+            a.vma(text).unwrap().dirty_count,
+            0,
+            "text pages never dirtied"
+        );
         assert!(a.dirty_count() > 0);
     }
 
@@ -397,10 +492,10 @@ mod tests {
         let id = a.mmap(VmaKind::Heap, 4, 1);
         a.collect_dirty();
         a.resize(id, 8, 2);
-        assert_eq!(a.vma(id).unwrap().pages.len(), 8);
+        assert_eq!(a.vma(id).unwrap().page_count(), 8);
         assert_eq!(a.dirty_count(), 4, "only the new pages are dirty");
         a.resize(id, 2, 0);
-        assert_eq!(a.vma(id).unwrap().pages.len(), 2);
+        assert_eq!(a.vma(id).unwrap().page_count(), 2);
     }
 
     #[test]
@@ -445,7 +540,7 @@ mod tests {
         // Restore: recreate regions, apply all pages.
         let mut dst = AddressSpace::new();
         for vma in src.vmas() {
-            dst.install_vma(vma.id, vma.kind, vma.start, vma.pages.len());
+            dst.install_vma(vma.id, vma.kind, vma.start, vma.page_count());
         }
         let mut src2 = src.clone();
         for page in src2.collect_dirty() {
@@ -454,7 +549,7 @@ mod tests {
         // Pages that were clean in src still need their content; a full
         // checkpoint ships everything:
         for vma in src.vmas() {
-            for (i, p) in vma.pages.iter().enumerate() {
+            for (i, p) in vma.pages().enumerate() {
                 dst.apply_page(PageRef {
                     vma: vma.id,
                     index: i,
@@ -473,14 +568,344 @@ mod tests {
         a.write_page(id, 49);
         assert_ne!(a.content_hash(), b.content_hash());
     }
+
+    fn is_seeded(a: &AddressSpace, id: VmaId) -> bool {
+        matches!(a.vma(id).unwrap().contents, Contents::Seeded { .. })
+    }
+
+    fn dirty_indices(a: &mut AddressSpace) -> Vec<usize> {
+        a.collect_dirty().into_iter().map(|r| r.index).collect()
+    }
+
+    #[test]
+    fn shrink_off_word_boundary_then_grow_drops_stale_dirty_bits() {
+        let mut a = AddressSpace::new();
+        let id = a.mmap(VmaKind::Heap, 200, 1);
+        a.collect_dirty();
+        for i in [10, 69, 70, 100, 199] {
+            a.write_page(id, i);
+        }
+        a.resize(id, 70, 2); // 70 is not a multiple of 64
+        assert_eq!(a.dirty_count(), 2, "pages 10 and 69 survive the shrink");
+        a.restore_resize(id, 200); // grown pages are clean
+        assert_eq!(a.dirty_count(), 2);
+        assert_eq!(dirty_indices(&mut a), vec![10, 69]);
+
+        a.resize(id, 70, 2);
+        a.write_page(id, 69);
+        a.resize(id, 130, 3); // grown pages are dirty, and only those
+        assert_eq!(a.dirty_count(), 61);
+        let expect: Vec<usize> = std::iter::once(69).chain(70..130).collect();
+        assert_eq!(dirty_indices(&mut a), expect);
+    }
+
+    #[test]
+    fn resize_of_never_written_region_keeps_its_pages() {
+        let mut a = AddressSpace::new();
+        let id = a.mmap(VmaKind::Heap, 100, 7);
+        a.resize(id, 150, 8);
+        assert!(!is_seeded(&a, id));
+        let v = a.vma(id).unwrap();
+        assert_eq!(v.page(99).fingerprint, mix(7, 99));
+        assert_eq!(v.page(100).fingerprint, mix(8, 100));
+        assert_eq!(a.dirty_count(), 150);
+
+        let shrunk = a.mmap(VmaKind::Heap, 100, 9);
+        a.resize(shrunk, 30, 0);
+        assert_eq!(a.vma(shrunk).unwrap().page(29).fingerprint, mix(9, 29));
+        assert_eq!(a.vma(shrunk).unwrap().dirty_count, 30);
+    }
+
+    #[test]
+    fn restore_path_on_never_written_region() {
+        let mut a = AddressSpace::new();
+        let id = a.mmap(VmaKind::Data, 80, 5);
+        a.apply_page(PageRef {
+            vma: id,
+            index: 3,
+            fingerprint: 42,
+        });
+        assert!(!is_seeded(&a, id));
+        let v = a.vma(id).unwrap();
+        assert_eq!(
+            v.page(3),
+            Page {
+                fingerprint: 42,
+                dirty: false
+            }
+        );
+        assert_eq!(
+            v.page(4),
+            Page {
+                fingerprint: mix(5, 4),
+                dirty: true
+            }
+        );
+        assert_eq!(a.dirty_count(), 79);
+
+        let other = a.mmap(VmaKind::Data, 80, 6);
+        a.restore_resize(other, 90);
+        assert!(!is_seeded(&a, other));
+        let v = a.vma(other).unwrap();
+        assert_eq!(
+            v.page(79),
+            Page {
+                fingerprint: mix(6, 79),
+                dirty: true
+            }
+        );
+        assert_eq!(
+            v.page(80),
+            Page {
+                fingerprint: 0,
+                dirty: false
+            }
+        );
+        assert_eq!(v.dirty_count, 80);
+    }
+
+    #[test]
+    fn content_hash_survives_materialisation() {
+        let mut a = AddressSpace::new();
+        let id = a.mmap(VmaKind::Heap, 130, 11);
+        let seeded = a.clone();
+        a.resize(id, 130, 0); // same length: only materialises the pages
+        assert!(is_seeded(&seeded, id) && !is_seeded(&a, id));
+        assert_eq!(a.content_hash(), seeded.content_hash());
+        assert_eq!(a.vma(id), seeded.vma(id));
+    }
+
+    #[test]
+    fn never_written_region_stores_no_fingerprints() {
+        let mut a = AddressSpace::new();
+        let id = a.mmap(VmaKind::Anon, 10_000, 1);
+        a.collect_dirty();
+        let v = a.vma(id).unwrap();
+        assert!(matches!(v.contents, Contents::Seeded { len: 10_000, .. }));
+        assert_eq!(
+            v.dirty.len(),
+            157,
+            "the bitmap is the only per-page storage"
+        );
+        assert_eq!(v.page(9_999).fingerprint, mix(1, 9_999));
+    }
 }
 
 #[cfg(test)]
 mod prop_tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The page table with one `Vec<Page>` per region: every fingerprint
+    /// stored, dirty pages found by scanning every page. The reference the
+    /// column-wise `AddressSpace` must match op for op.
+    #[derive(Default)]
+    struct Model {
+        vmas: BTreeMap<VmaId, (VmaKind, u64, Vec<Page>)>,
+        next_vma: u64,
+        next_addr: u64,
+        dirtied_total: u64,
+    }
+
+    const CLEAN_ZERO: Page = Page {
+        fingerprint: 0,
+        dirty: false,
+    };
+
+    impl Model {
+        fn new() -> Model {
+            Model {
+                next_vma: 1,
+                next_addr: 0x0000_5555_0000_0000,
+                ..Model::default()
+            }
+        }
+
+        fn pages_mut(&mut self, id: VmaId) -> &mut Vec<Page> {
+            &mut self.vmas.get_mut(&id).unwrap().2
+        }
+
+        fn mmap(&mut self, kind: VmaKind, pages: usize, seed: u64) -> VmaId {
+            let id = VmaId(self.next_vma);
+            self.next_vma += 1;
+            let start = self.next_addr;
+            self.next_addr += (pages as u64 + 16) * PAGE_SIZE;
+            let pages = (0..pages)
+                .map(|i| Page {
+                    fingerprint: mix(seed, i as u64),
+                    dirty: true,
+                })
+                .collect();
+            self.vmas.insert(id, (kind, start, pages));
+            id
+        }
+
+        fn resize(&mut self, id: VmaId, pages: usize, seed: u64) {
+            let v = self.pages_mut(id);
+            let old = v.len();
+            if pages > old {
+                v.extend((old..pages).map(|i| Page {
+                    fingerprint: mix(seed, i as u64),
+                    dirty: true,
+                }));
+            } else {
+                v.truncate(pages);
+            }
+        }
+
+        fn write_page(&mut self, id: VmaId, index: usize) {
+            let p = &mut self.pages_mut(id)[index];
+            p.fingerprint = mix(p.fingerprint, 0x9E37_79B9);
+            p.dirty = true;
+            self.dirtied_total += 1;
+        }
+
+        fn dirty_random(&mut self, rng: &mut DetRng, count: usize) {
+            let writable: Vec<(VmaId, usize)> = self
+                .vmas
+                .iter()
+                .filter(|(_, v)| v.0 != VmaKind::Text && !v.2.is_empty())
+                .map(|(id, v)| (*id, v.2.len()))
+                .collect();
+            if writable.is_empty() {
+                return;
+            }
+            for _ in 0..count {
+                let (id, len) = writable[rng.index(writable.len())];
+                let idx = rng.index(len);
+                self.write_page(id, idx);
+            }
+        }
+
+        fn collect_dirty(&mut self) -> Vec<PageRef> {
+            let mut out = Vec::new();
+            for (id, v) in &mut self.vmas {
+                for (index, p) in v.2.iter_mut().enumerate() {
+                    if p.dirty {
+                        p.dirty = false;
+                        out.push(PageRef {
+                            vma: *id,
+                            index,
+                            fingerprint: p.fingerprint,
+                        });
+                    }
+                }
+            }
+            out
+        }
+
+        fn install_vma(&mut self, id: VmaId, kind: VmaKind, start: u64, pages: usize) {
+            self.next_vma = self.next_vma.max(id.0 + 1);
+            self.vmas.insert(id, (kind, start, vec![CLEAN_ZERO; pages]));
+        }
+
+        fn content_hash(&self) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for (id, (_, start, pages)) in &self.vmas {
+                h = mix(h, id.0);
+                h = mix(h, *start);
+                for p in pages {
+                    h = mix(h, p.fingerprint);
+                }
+            }
+            h
+        }
+
+        fn snapshot(&self) -> Vec<(VmaId, VmaKind, u64, Vec<Page>)> {
+            self.vmas
+                .iter()
+                .map(|(id, (kind, start, pages))| (*id, *kind, *start, pages.clone()))
+                .collect()
+        }
+    }
+
+    fn snapshot(a: &AddressSpace) -> Vec<(VmaId, VmaKind, u64, Vec<Page>)> {
+        a.vmas()
+            .map(|v| {
+                let pages = (0..v.page_count()).map(|i| v.page(i)).collect();
+                (v.id, v.kind, v.start, pages)
+            })
+            .collect()
+    }
+
+    const KINDS: [VmaKind; 5] = [
+        VmaKind::Text,
+        VmaKind::Data,
+        VmaKind::Heap,
+        VmaKind::Stack,
+        VmaKind::Anon,
+    ];
 
     proptest! {
+        /// Random op sequences leave the column-wise page table and the
+        /// one-`Vec<Page>`-per-region model in the same state: same RNG
+        /// draws, same collected pages in the same order, same pages.
+        #[test]
+        fn matches_reference_model(
+            ops in proptest::collection::vec((0u8..9, 0usize..1000, 0usize..1000, 0u64..u64::MAX), 1..80),
+            seed in 0u64..1000,
+        ) {
+            let mut real = AddressSpace::new();
+            let mut model = Model::new();
+            let mut real_rng = DetRng::new(seed);
+            let mut model_rng = DetRng::new(seed);
+            for (op, a, b, c) in ops {
+                let ids: Vec<VmaId> = model.vmas.keys().copied().collect();
+                let target = (!ids.is_empty()).then(|| ids[a % ids.len()]);
+                let len = target.map_or(0, |id| model.vmas[&id].2.len());
+                match (op, target) {
+                    (0, _) => {
+                        let (kind, pages) = (KINDS[a % 5], b % 150);
+                        prop_assert_eq!(real.mmap(kind, pages, c), model.mmap(kind, pages, c));
+                    }
+                    (1, Some(id)) => {
+                        real.resize(id, b % 200, c);
+                        model.resize(id, b % 200, c);
+                    }
+                    (2, _) => {
+                        let id = target.unwrap_or(VmaId(c % 4));
+                        prop_assert_eq!(real.munmap(id), model.vmas.remove(&id).is_some());
+                    }
+                    (3, Some(id)) if len > 0 => {
+                        real.write_page(id, b % len);
+                        model.write_page(id, b % len);
+                    }
+                    (4, _) => {
+                        real.dirty_random(&mut real_rng, b % 64);
+                        model.dirty_random(&mut model_rng, b % 64);
+                    }
+                    (5, _) => prop_assert_eq!(real.collect_dirty(), model.collect_dirty()),
+                    (6, _) => {
+                        // Either an id in use (replaced) or a fresh one.
+                        let id = VmaId(c % (model.next_vma + 2));
+                        let (kind, start) = (KINDS[a % 5], c & !0xfff);
+                        real.install_vma(id, kind, start, b % 150);
+                        model.install_vma(id, kind, start, b % 150);
+                    }
+                    (7, Some(id)) if len > 0 => {
+                        let r = PageRef { vma: id, index: b % len, fingerprint: c };
+                        real.apply_page(r);
+                        model.pages_mut(id)[r.index] = Page { fingerprint: c, dirty: false };
+                    }
+                    (8, Some(id)) => {
+                        real.restore_resize(id, b % 200);
+                        model.pages_mut(id).resize(b % 200, CLEAN_ZERO);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(real_rng.clone().next_u64(), model_rng.clone().next_u64());
+                prop_assert_eq!(real.content_hash(), model.content_hash());
+                let model_dirty: usize =
+                    model.vmas.values().map(|v| v.2.iter().filter(|p| p.dirty).count()).sum();
+                prop_assert_eq!(real.dirty_count(), model_dirty);
+                let model_pages: usize = model.vmas.values().map(|v| v.2.len()).sum();
+                prop_assert_eq!(real.total_pages(), model_pages);
+                prop_assert_eq!(real.dirtied_total, model.dirtied_total);
+                prop_assert_eq!(snapshot(&real), model.snapshot());
+            }
+        }
+
         /// collect_dirty returns exactly the pages written since last collect.
         #[test]
         fn dirty_tracking_is_exact(writes in proptest::collection::vec((0usize..4, 0usize..32), 0..100)) {
@@ -509,8 +934,8 @@ mod prop_tests {
             src.dirty_random(&mut rng, dirties);
             let mut dst = AddressSpace::new();
             for vma in src.vmas() {
-                dst.install_vma(vma.id, vma.kind, vma.start, vma.pages.len());
-                for (i, p) in vma.pages.iter().enumerate() {
+                dst.install_vma(vma.id, vma.kind, vma.start, vma.page_count());
+                for (i, p) in vma.pages().enumerate() {
                     dst.apply_page(PageRef { vma: vma.id, index: i, fingerprint: p.fingerprint });
                 }
             }
