@@ -12,11 +12,23 @@
 //!   the live list).
 //!
 //! Page state is stored column-wise per region: a dense `Vec<u64>` of
-//! fingerprints, a `Vec<u64>` dirty bitmap and the region's dirty count. A
-//! region never written since `mmap` stores only its seed — page `i` holds
-//! `mix(seed, i)`, computed when read — and becomes dense on its first
-//! write, resize or restore-path page. Game clients never write their
-//! pages, so each of them costs a few words instead of 8 bytes per page.
+//! fingerprints, a `Vec<u8>` of pending-write counts, a `Vec<u64>` dirty
+//! bitmap and the region's dirty count. A region never written since `mmap`
+//! stores only its seed — page `i` holds `mix(seed, i)`, computed when
+//! read — and becomes dense on its first write, resize or restore-path
+//! page. Game clients never write their pages, so each of them costs a few
+//! words instead of 9 bytes per page.
+//!
+//! A write does not rewrite the 8-byte fingerprint: it bumps the page's
+//! pending count and sets its dirty bit. Page `i`'s fingerprint is the
+//! stored one with `mix(·, WRITE_SALT)` applied `pending[i]` times, folded
+//! on the fly by every read. A count that reaches 255 is folded into the
+//! stored fingerprint at once, so the byte never overflows. `collect_dirty`
+//! folds and zeroes the count of every page it collects, which keeps the
+//! invariant *pending > 0 ⇒ dirty*: a clean page's fingerprint is always
+//! stored in full, and repeated precopy reads never repeat the chain. The
+//! hot write thus touches a byte where it used to rewrite 8, for 1 extra
+//! byte per page of a written region.
 
 use dvelm_sim::DetRng;
 
@@ -51,20 +63,24 @@ pub struct Page {
     pub dirty: bool,
 }
 
+/// What one write mixes into a page's fingerprint.
+const WRITE_SALT: u64 = 0x9E37_79B9;
+
 /// Page fingerprints of one region.
 #[derive(Debug, Clone)]
 enum Contents {
     /// Never written since `mmap`: page `i` holds `mix(seed, i)`.
     Seeded { seed: u64, len: usize },
-    /// One fingerprint per page.
-    Dense(Vec<u64>),
+    /// Page `i` holds `fps[i]` with `pending[i]` writes folded in; both
+    /// vectors always have one entry per page.
+    Dense { fps: Vec<u64>, pending: Vec<u8> },
 }
 
 impl Contents {
     fn len(&self) -> usize {
         match self {
             Contents::Seeded { len, .. } => *len,
-            Contents::Dense(f) => f.len(),
+            Contents::Dense { fps, .. } => fps.len(),
         }
     }
 
@@ -72,9 +88,30 @@ impl Contents {
     fn get(&self, i: usize) -> u64 {
         match self {
             Contents::Seeded { seed, .. } => mix(*seed, i as u64),
-            Contents::Dense(f) => f[i],
+            Contents::Dense { fps, pending } => fold(fps[i], pending[i]),
         }
     }
+
+    /// Fingerprint of page `i`, with its pending writes folded into the
+    /// stored fingerprint and the count cleared.
+    fn settle(&mut self, i: usize) -> u64 {
+        match self {
+            Contents::Seeded { seed, .. } => mix(*seed, i as u64),
+            Contents::Dense { fps, pending } => {
+                let n = std::mem::take(&mut pending[i]);
+                if n > 0 {
+                    fps[i] = fold(fps[i], n);
+                }
+                fps[i]
+            }
+        }
+    }
+}
+
+/// `fp` after `writes` more writes.
+#[inline]
+fn fold(fp: u64, writes: u8) -> u64 {
+    (0..writes).fold(fp, |f, _| mix(f, WRITE_SALT))
 }
 
 /// A mapped region (`vm_area_struct` analogue).
@@ -137,21 +174,30 @@ impl Vma {
         (0..self.page_count()).map(|i| self.page(i))
     }
 
-    /// The stored fingerprints, materialising a never-written region first.
-    fn fingerprints_mut(&mut self) -> &mut Vec<u64> {
+    /// The stored fingerprints and pending-write counts, materialising a
+    /// never-written region first.
+    fn dense_mut(&mut self) -> (&mut Vec<u64>, &mut Vec<u8>) {
         if let Contents::Seeded { seed, len } = self.contents {
-            self.contents = Contents::Dense((0..len as u64).map(|i| mix(seed, i)).collect());
+            self.contents = Contents::Dense {
+                fps: (0..len as u64).map(|i| mix(seed, i)).collect(),
+                pending: vec![0; len],
+            };
         }
         match &mut self.contents {
-            Contents::Dense(f) => f,
+            Contents::Dense { fps, pending } => (fps, pending),
             Contents::Seeded { .. } => unreachable!("contents were made dense above"),
         }
     }
 
-    /// Write page `i`: new fingerprint, dirty bit set.
+    /// Write page `i`: one more pending write, dirty bit set.
     fn write(&mut self, i: usize) {
-        let f = &mut self.fingerprints_mut()[i];
-        *f = mix(*f, 0x9E37_79B9);
+        let (fps, pending) = self.dense_mut();
+        let n = &mut pending[i];
+        *n += 1;
+        if *n == u8::MAX {
+            fps[i] = fold(fps[i], u8::MAX);
+            *n = 0;
+        }
         let word = &mut self.dirty[i / 64];
         if *word & bit(i) == 0 {
             *word |= bit(i);
@@ -163,7 +209,8 @@ impl Vma {
     /// dirty if `dirty` is set; a shrink drops the dirty bits it cuts off.
     fn set_len(&mut self, len: usize, dirty: bool, fill: impl Fn(u64) -> u64) {
         let old = self.page_count();
-        let fps = self.fingerprints_mut();
+        let (fps, pending) = self.dense_mut();
+        pending.resize(len, 0);
         if len >= old {
             fps.extend((old as u64..len as u64).map(fill));
             self.dirty.resize(len.div_ceil(64), 0);
@@ -200,6 +247,14 @@ fn set_bits(words: &mut [u64], range: std::ops::Range<usize>) {
     for i in range {
         words[i / 64] |= bit(i);
     }
+}
+
+thread_local! {
+    /// Indices into `AddressSpace::vmas` of the writable regions, rebuilt
+    /// by every `dirty_random` call. One buffer per thread rather than one
+    /// per address space: a field would widen every process entry, and
+    /// tens of thousands of idle clients would pay for it.
+    static WRITABLE: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// A reference to a (possibly dirty) page, as collected by the checkpointer.
@@ -282,30 +337,33 @@ impl AddressSpace {
     /// are weighted equally, not by size: a process's 64-page stack takes
     /// as many writes as its 4,096-page data region.
     pub fn dirty_random(&mut self, rng: &mut DetRng, count: usize) {
-        let writable = |v: &&mut Vma| v.kind != VmaKind::Text && v.page_count() > 0;
-        let regions = self.vmas.iter_mut().filter(writable).count();
-        if regions == 0 {
-            return;
-        }
-        for _ in 0..count {
-            let k = rng.index(regions);
-            let vma = self
-                .vmas
-                .iter_mut()
-                .filter(writable)
-                .nth(k)
-                .expect("k < number of writable regions");
-            let idx = rng.index(vma.page_count());
-            vma.write(idx);
-        }
-        self.dirtied_total += count as u64;
+        WRITABLE.with_borrow_mut(|writable| {
+            writable.clear();
+            writable.extend(
+                self.vmas
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| v.kind != VmaKind::Text && v.page_count() > 0)
+                    .map(|(i, _)| i),
+            );
+            if writable.is_empty() {
+                return;
+            }
+            for _ in 0..count {
+                let vma = &mut self.vmas[writable[rng.index(writable.len())]];
+                let idx = rng.index(vma.page_count());
+                vma.write(idx);
+            }
+            self.dirtied_total += count as u64;
+        });
     }
 
     /// Collect and clear every dirty page (one precopy iteration's payload),
     /// in region-id then page-index order. Clean regions are skipped via
     /// their dirty counts, and dirty ones are walked a bitmap word at a
     /// time — steady-state iterations over a mostly-clean space touch
-    /// almost nothing.
+    /// almost nothing. Each collected page's pending writes are folded into
+    /// its stored fingerprint, so clean pages never carry a count.
     pub fn collect_dirty(&mut self) -> Vec<PageRef> {
         let mut out = Vec::with_capacity(self.dirty_count());
         for vma in &mut self.vmas {
@@ -321,7 +379,7 @@ impl AddressSpace {
                     out.push(PageRef {
                         vma: vma.id,
                         index,
-                        fingerprint: vma.contents.get(index),
+                        fingerprint: vma.contents.settle(index),
                     });
                 }
             }
@@ -376,7 +434,9 @@ impl AddressSpace {
     /// Apply a page write received from a checkpoint stream (restore path).
     pub fn apply_page(&mut self, r: PageRef) {
         let vma = self.vma_mut(r.vma, "apply_page to unmapped VMA");
-        vma.fingerprints_mut()[r.index] = r.fingerprint;
+        let (fps, pending) = vma.dense_mut();
+        fps[r.index] = r.fingerprint;
+        pending[r.index] = 0;
         let word = &mut vma.dirty[r.index / 64];
         if *word & bit(r.index) != 0 {
             *word &= !bit(r.index);
@@ -392,7 +452,10 @@ impl AddressSpace {
             id,
             kind,
             start,
-            contents: Contents::Dense(vec![0; pages]),
+            contents: Contents::Dense {
+                fps: vec![0; pages],
+                pending: vec![0; pages],
+            },
             dirty: vec![0; pages.div_ceil(64)],
             dirty_count: 0,
         });
@@ -675,6 +738,105 @@ mod tests {
         assert_eq!(a.vma(id), seeded.vma(id));
     }
 
+    /// Page `i` of a region mapped with `seed` after `writes` writes.
+    fn written(seed: u64, i: u64, writes: usize) -> u64 {
+        (0..writes).fold(mix(seed, i), |f, _| mix(f, 0x9E37_79B9))
+    }
+
+    fn pending(a: &AddressSpace, id: VmaId) -> Vec<u8> {
+        match &a.vma(id).unwrap().contents {
+            Contents::Dense { pending, .. } => pending.clone(),
+            Contents::Seeded { .. } => panic!("region was never written"),
+        }
+    }
+
+    #[test]
+    fn pending_counter_folds_at_255() {
+        for (writes, left) in [(254, 254), (255, 0), (256, 1), (510, 0), (600, 90)] {
+            let mut a = AddressSpace::new();
+            let id = a.mmap(VmaKind::Heap, 3, 4);
+            for _ in 0..writes {
+                a.write_page(id, 1);
+            }
+            assert_eq!(pending(&a, id), vec![0, left, 0], "{writes} writes");
+            let v = a.vma(id).unwrap();
+            assert_eq!(
+                v.page(1).fingerprint,
+                written(4, 1, writes),
+                "{writes} writes"
+            );
+            assert_eq!(v.page(2).fingerprint, written(4, 2, 0));
+        }
+    }
+
+    #[test]
+    fn collect_dirty_folds_and_zeroes_every_counter() {
+        let mut a = AddressSpace::new();
+        let ids: Vec<VmaId> = (0..3).map(|i| a.mmap(VmaKind::Anon, 70, i)).collect();
+        let mut rng = DetRng::new(5);
+        a.dirty_random(&mut rng, 2_000);
+        a.write_page(ids[0], 3);
+        assert!(ids.iter().any(|id| pending(&a, *id).iter().any(|n| *n > 0)));
+        let before = snapshot_fingerprints(&a);
+        let collected = a.collect_dirty();
+        assert_eq!(collected.len(), 210, "every page was dirty since mmap");
+        for id in &ids {
+            assert!(pending(&a, *id).iter().all(|n| *n == 0));
+        }
+        assert_eq!(snapshot_fingerprints(&a), before);
+        for r in collected {
+            assert_eq!(
+                r.fingerprint,
+                a.vma(r.vma).unwrap().page(r.index).fingerprint
+            );
+        }
+    }
+
+    fn snapshot_fingerprints(a: &AddressSpace) -> Vec<u64> {
+        a.vmas()
+            .flat_map(|v| v.pages().map(|p| p.fingerprint))
+            .collect()
+    }
+
+    #[test]
+    fn apply_page_discards_pending_writes() {
+        let mut a = AddressSpace::new();
+        let id = a.mmap(VmaKind::Data, 4, 2);
+        for _ in 0..100 {
+            a.write_page(id, 2);
+        }
+        a.apply_page(PageRef {
+            vma: id,
+            index: 2,
+            fingerprint: 77,
+        });
+        assert_eq!(pending(&a, id), vec![0; 4]);
+        assert_eq!(
+            a.vma(id).unwrap().page(2),
+            Page {
+                fingerprint: 77,
+                dirty: false
+            }
+        );
+        a.write_page(id, 2);
+        assert_eq!(a.vma(id).unwrap().page(2).fingerprint, mix(77, 0x9E37_79B9));
+    }
+
+    #[test]
+    fn content_hash_is_unchanged_by_a_fold() {
+        let mut a = AddressSpace::new();
+        let id = a.mmap(VmaKind::Heap, 2, 8);
+        for _ in 0..300 {
+            a.write_page(id, 0);
+        }
+        a.write_page(id, 1);
+        let unfolded = a.content_hash();
+        assert_eq!(pending(&a, id), vec![45, 1]);
+        a.collect_dirty();
+        assert_eq!(pending(&a, id), vec![0, 0]);
+        assert_eq!(a.content_hash(), unfolded);
+    }
+
     #[test]
     fn never_written_region_stores_no_fingerprints() {
         let mut a = AddressSpace::new();
@@ -840,10 +1002,11 @@ mod prop_tests {
     proptest! {
         /// Random op sequences leave the column-wise page table and the
         /// one-`Vec<Page>`-per-region model in the same state: same RNG
-        /// draws, same collected pages in the same order, same pages.
+        /// draws, same collected pages in the same order, same pages —
+        /// including pages whose pending-write counters overflowed.
         #[test]
         fn matches_reference_model(
-            ops in proptest::collection::vec((0u8..9, 0usize..1000, 0usize..1000, 0u64..u64::MAX), 1..80),
+            ops in proptest::collection::vec((0u8..11, 0usize..1000, 0usize..1000, 0u64..u64::MAX), 1..80),
             seed in 0u64..1000,
         ) {
             let mut real = AddressSpace::new();
@@ -891,6 +1054,22 @@ mod prop_tests {
                     (8, Some(id)) => {
                         real.restore_resize(id, b % 200);
                         model.pages_mut(id).resize(b % 200, CLEAN_ZERO);
+                    }
+                    // Overflow the pending-write counters: hammer one page
+                    // of a fresh 1–2-page region, then spread hundreds of
+                    // random writes over every writable region.
+                    (9, _) => {
+                        let (pages, writes) = (1 + a % 2, 200 + b % 401);
+                        let id = real.mmap(VmaKind::Heap, pages, c);
+                        prop_assert_eq!(model.mmap(VmaKind::Heap, pages, c), id);
+                        for _ in 0..writes {
+                            real.write_page(id, a % pages);
+                            model.write_page(id, a % pages);
+                        }
+                    }
+                    (10, _) => {
+                        real.dirty_random(&mut real_rng, 200 + b % 401);
+                        model.dirty_random(&mut model_rng, 200 + b % 401);
                     }
                     _ => {}
                 }
