@@ -1730,6 +1730,11 @@ impl World {
                     if !self.hosts[host].alive {
                         continue;
                     }
+                    // Broadcast miss: a node that owns nothing for this
+                    // frame only counts it, exactly as the full path would.
+                    if self.hosts[host].stack.rx_unowned(&seg) {
+                        continue;
+                    }
                     let fx = self.hosts[host].stack.on_rx(seg.clone(), now);
                     self.apply_effects(host, fx);
                     self.drain_capture_pressure(host);

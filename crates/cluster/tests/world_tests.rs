@@ -36,6 +36,7 @@ struct EchoClient {
     fd: Option<Fd>,
     sent: u32,
     max: u32,
+    period_us: u64,
     echoed: Rc<RefCell<Vec<u8>>>,
 }
 
@@ -55,6 +56,9 @@ impl App for EchoClient {
         for skb in data {
             self.echoed.borrow_mut().extend_from_slice(&skb.payload);
         }
+    }
+    fn tick_period_us(&self) -> u64 {
+        self.period_us
     }
 }
 
@@ -93,6 +97,28 @@ impl App for UdpPinger {
     }
     fn on_udp_data(&mut self, _ctx: &mut AppCtx<'_>, _fd: Fd, dgrams: &[Datagram]) {
         *self.responses.borrow_mut() += dgrams.len() as u64;
+    }
+}
+
+/// UDP client that fires exactly `left` commands, one per tick, and then
+/// falls silent, so a run can end with nothing in flight.
+struct CountedPinger {
+    fd: Option<Fd>,
+    server: SockAddr,
+    left: u32,
+}
+
+impl App for CountedPinger {
+    fn on_tick(&mut self, ctx: &mut AppCtx<'_>) {
+        if self.fd.is_none() {
+            self.fd = ctx.socket_fds().first().copied();
+        }
+        if let Some(fd) = self.fd {
+            if self.left > 0 {
+                self.left -= 1;
+                ctx.send_udp_to(fd, self.server, Bytes::from_static(b"+forward"));
+            }
+        }
     }
 }
 
@@ -138,6 +164,7 @@ fn tcp_echo_between_cluster_nodes() {
             fd: None,
             sent: 0,
             max: 10,
+            period_us: 50 * MILLISECOND,
             echoed: echoed.clone(),
         }),
     );
@@ -330,4 +357,124 @@ fn packet_log_records_traffic() {
         .all(|e| e.src.port == Port(27960) || e.dst.port == Port(27960)));
     // Log is time-ordered.
     assert!(w.packet_log.windows(2).all(|p| p[0].at <= p[1].at));
+}
+
+#[test]
+fn broadcast_copies_are_counted_on_every_node() {
+    // One UDP server on n0 behind the shared public address; n1 and n2 own
+    // nothing. Each client frame is broadcast to all three nodes: the owner
+    // delivers every copy, and the others drop every copy for want of a
+    // socket, exactly as the full receive path counts it.
+    let mut w = World::new(WorldConfig::default());
+    let owner = w.add_server_node();
+    let others = [w.add_server_node(), w.add_server_node()];
+    let c = w.add_client_host();
+
+    let got = Rc::new(RefCell::new(0u64));
+    let server = w.spawn_process(
+        owner,
+        "oa",
+        16,
+        64,
+        Box::new(UdpResponder { got: got.clone() }),
+    );
+    let addr = SockAddr::new(Ip::CLUSTER_PUBLIC, 27960);
+    w.app_udp_bind(owner, server, addr);
+
+    let commands = 40;
+    let client = w.spawn_process(
+        c,
+        "player",
+        4,
+        8,
+        Box::new(CountedPinger {
+            fd: None,
+            server: addr,
+            left: commands,
+        }),
+    );
+    let _fd = w.app_udp_socket(c, client, Some(addr));
+    w.run_for(4 * SECOND);
+
+    let frames = w.hosts[c].stack.stats().tx_total;
+    assert_eq!(frames, u64::from(commands), "every command left the client");
+    assert_eq!(*got.borrow(), frames, "the owner's app read every command");
+    for &h in &others {
+        let s = w.hosts[h].stack.stats();
+        assert_eq!(s.rx_total, frames, "node {h} saw every copy: {s:?}");
+        assert_eq!(s.rx_dropped_no_socket, frames, "node {h}: {s:?}");
+    }
+    let s = w.hosts[owner].stack.stats();
+    assert_eq!(s.rx_total, frames, "{s:?}");
+    assert_eq!(
+        s.rx_dropped_no_socket, 0,
+        "the owner delivered every copy: {s:?}"
+    );
+    assert_eq!(
+        s.rx_captured + s.rx_dropped_bad_checksum + s.rx_dropped_misrouted,
+        0
+    );
+}
+
+#[test]
+fn migration_destination_captures_broadcast_tcp_and_loses_nothing() {
+    // A TCP server on the shared public address migrates from n0 to n1
+    // while its client streams. Before the move n1 owns no socket for the
+    // connection, only the capture entry the migration installs: the
+    // broadcast copies must still reach that entry (§V-B loss prevention),
+    // so every byte the client sent arrives in order.
+    let mut w = World::new(WorldConfig::default());
+    let n0 = w.add_server_node();
+    let n1 = w.add_server_node();
+    let c = w.add_client_host();
+
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let server = w.spawn_process(
+        n0,
+        "zone",
+        32,
+        256,
+        Box::new(EchoServer { seen: seen.clone() }),
+    );
+    let saddr = SockAddr::new(Ip::CLUSTER_PUBLIC, 7000);
+    w.app_tcp_listen(n0, server, saddr);
+
+    let echoed = Rc::new(RefCell::new(Vec::new()));
+    let max = 600;
+    let client = w.spawn_process(
+        c,
+        "client",
+        8,
+        16,
+        Box::new(EchoClient {
+            fd: None,
+            sent: 0,
+            max,
+            period_us: 2 * MILLISECOND,
+            echoed: echoed.clone(),
+        }),
+    );
+    w.app_tcp_connect(c, client, saddr, false);
+    w.run_for(200 * MILLISECOND);
+
+    let mig = w
+        .begin_migration(server, n1, Strategy::IncrementalCollective)
+        .expect("migration starts");
+    w.run_for(3 * SECOND);
+    assert!(
+        w.migration_outcome(mig).is_some_and(|o| o.is_completed()),
+        "{:?}",
+        w.migration_outcome(mig)
+    );
+    assert_eq!(w.host_of(server), Some(n1));
+    let s = w.hosts[n1].stack.stats();
+    assert!(s.rx_captured > 0, "the destination captured nothing: {s:?}");
+
+    let expected: String = (1..=max).map(|i| format!("m{i:03}|")).collect();
+    assert_eq!(
+        String::from_utf8_lossy(&seen.borrow()),
+        expected,
+        "no byte lost"
+    );
+    assert_eq!(&*echoed.borrow(), &*seen.borrow(), "everything echoed back");
 }

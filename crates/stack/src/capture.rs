@@ -306,16 +306,28 @@ impl CaptureTable {
         )
     }
 
+    /// The key [`capture`](Self::capture) looks `seg` up under: the
+    /// connected key for its (remote, local port) if that entry is enabled,
+    /// else the any-remote key for its local port.
+    fn key_for(&self, seg: &Segment) -> CaptureKey {
+        let connected = CaptureKey::connected(seg.src, seg.dst.port);
+        if self.entries.contains_key(&connected) {
+            connected
+        } else {
+            CaptureKey::any_remote(seg.dst.port)
+        }
+    }
+
+    /// Whether [`capture`](Self::capture) would match `seg`, i.e. return
+    /// anything but [`CaptureOutcome::NotMatched`]. Pure: no counter moves.
+    pub fn would_match(&self, seg: &Segment) -> bool {
+        self.entries.contains_key(&self.key_for(seg))
+    }
+
     /// Hook function with the full budget verdict. [`try_capture`](Self::try_capture)
     /// is the boolean view of this.
     pub fn capture(&mut self, seg: &Segment) -> CaptureOutcome {
-        let connected = CaptureKey::connected(seg.src, seg.dst.port);
-        let wildcard = CaptureKey::any_remote(seg.dst.port);
-        let key = if self.entries.contains_key(&connected) {
-            connected
-        } else {
-            wildcard
-        };
+        let key = self.key_for(seg);
         let Some(entry) = self.entries.get_mut(&key) else {
             return CaptureOutcome::NotMatched;
         };

@@ -477,7 +477,9 @@ impl HostStack {
     // ------------------------------------------------------------------
 
     /// A frame arrived on either interface: run the `LOCAL_IN` netfilter
-    /// chain, then deliver to a socket.
+    /// chain, then deliver to a socket. This is the full receive path; a
+    /// broadcast copy this host provably ignores can be accounted for with
+    /// [`rx_unowned`](Self::rx_unowned) instead.
     pub fn on_rx(&mut self, mut seg: Segment, now: SimTime) -> Vec<StackEffect> {
         self.stats.rx_total += 1;
         let (hooks, n_hooks) = self.netfilter.chain_copy(HookPoint::LocalIn);
@@ -509,6 +511,40 @@ impl HostStack {
             return Vec::new();
         }
         self.deliver(seg, now)
+    }
+
+    /// Broadcast miss: account for `seg` as [`on_rx`](Self::on_rx) would,
+    /// if and only if `on_rx` would drop it for want of a socket and have
+    /// no other effect.
+    ///
+    /// Returns `true` after doing exactly what that drop does — `rx_total`
+    /// and `rx_dropped_no_socket` each grow by one — so the caller must not
+    /// also call `on_rx` for this copy. Returns `false` having changed
+    /// nothing; the caller then runs the full path. The check is
+    /// conservative: it answers `false` whenever any `LOCAL_IN` table
+    /// would act on the frame, whether or not its hook is registered, and
+    /// for any destination other than the public address (the full path
+    /// classifies misrouted frames and virtual addresses itself).
+    pub fn rx_unowned(&mut self, seg: &Segment) -> bool {
+        if !seg.checksum_ok || seg.dst.ip != self.public_ip {
+            return false;
+        }
+        let bound = self.bhash.contains_key(&(seg.dst.ip, seg.dst.port));
+        let owned = match &seg.transport {
+            Transport::Tcp { flags, .. } => {
+                self.ehash.contains_key(&FourTuple {
+                    local: seg.dst,
+                    remote: seg.src,
+                }) || (flags.syn && !flags.ack && bound)
+            }
+            Transport::Udp { .. } => bound,
+        };
+        if owned || self.capture.would_match(seg) || self.xlate.would_rewrite_incoming(seg) {
+            return false;
+        }
+        self.stats.rx_total += 1;
+        self.stats.rx_dropped_no_socket += 1;
+        true
     }
 
     /// Re-submit a previously captured segment to the stack, bypassing the
@@ -548,7 +584,9 @@ impl HostStack {
                     }
                 }
                 // Broadcast configuration: nodes that do not own the port
-                // silently ignore the copy — no RST.
+                // silently ignore the copy — no RST. `rx_unowned` counts
+                // this same drop without the netfilter chain; the two must
+                // agree on which frames end here.
                 self.stats.rx_dropped_no_socket += 1;
                 Vec::new()
             }

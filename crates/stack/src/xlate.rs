@@ -194,12 +194,15 @@ impl XlateTable {
         before - self.rules.len()
     }
 
-    /// Number of installed rules.
+    /// Number of installed *peer* rules. Destination-side rules are not
+    /// counted; see [`self_rule_count`](Self::self_rule_count).
     pub fn len(&self) -> usize {
         self.rules.len()
     }
 
-    /// Whether the table is empty.
+    /// Whether no *peer* rule is installed. Destination-side rules are not
+    /// considered, so a table holding only those still reports empty; see
+    /// [`self_rule_count`](Self::self_rule_count).
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
@@ -302,6 +305,37 @@ impl XlateTable {
         route
     }
 
+    /// The self rule `LOCAL_IN` applies to `seg`: it is addressed to this
+    /// host's address on a migrated socket's port, from that socket's peer.
+    fn incoming_self_hit(&self, seg: &Segment) -> Option<SelfXlateRule> {
+        self.self_rules
+            .iter()
+            .find(|r| {
+                seg.dst.ip == r.host_ip
+                    && seg.dst.port == r.sock_local.port
+                    && seg.src.port == r.peer.port
+            })
+            .copied()
+    }
+
+    /// Index of the peer rule `LOCAL_IN` applies to `seg`: it comes from a
+    /// migrated remote's new host and port to the rule's local port. Only
+    /// ports and the source are compared, so the self half's destination
+    /// rewrite never changes this answer.
+    fn incoming_peer_hit(&self, seg: &Segment) -> Option<usize> {
+        self.rules.iter().position(|t| {
+            seg.dst.port == t.rule.peer_local.port
+                && seg.src.ip == t.rule.new_remote_ip
+                && seg.src.port == t.rule.remote_port
+        })
+    }
+
+    /// Whether [`incoming_at`](Self::incoming_at) would rewrite `seg` (or
+    /// refresh a rule's TTL). Pure: no counter or timestamp moves.
+    pub fn would_rewrite_incoming(&self, seg: &Segment) -> bool {
+        self.incoming_self_hit(seg).is_some() || self.incoming_peer_hit(seg).is_some()
+    }
+
     /// `LOCAL_IN` hook: rewrite an arriving segment. As with
     /// [`outgoing_at`](Self::outgoing_at), the self half (destination back to
     /// the migrated socket's identity) and the peer half (source back to the
@@ -309,25 +343,11 @@ impl XlateTable {
     /// either address may still be in its on-wire form. Takes the sim clock
     /// so matched peer rules refresh their TTL.
     pub fn incoming_at(&mut self, seg: &mut Segment, now: SimTime) {
-        let self_hit = self
-            .self_rules
-            .iter()
-            .find(|r| {
-                seg.dst.ip == r.host_ip
-                    && seg.dst.port == r.sock_local.port
-                    && seg.src.port == r.peer.port
-            })
-            .copied();
-        if let Some(rule) = self_hit {
+        if let Some(rule) = self.incoming_self_hit(seg) {
             seg.rewrite_dst_ip(rule.sock_local.ip, true);
             self.stats.rewritten_in += 1;
         }
-        let peer_hit = self.rules.iter().position(|t| {
-            seg.dst.port == t.rule.peer_local.port
-                && seg.src.ip == t.rule.new_remote_ip
-                && seg.src.port == t.rule.remote_port
-        });
-        if let Some(i) = peer_hit {
+        if let Some(i) = self.incoming_peer_hit(seg) {
             self.rules[i].last_hit = self.rules[i].last_hit.max(now);
             let rule = self.rules[i].rule;
             seg.rewrite_src_ip(rule.old_remote_ip, rule.fix_checksum);
