@@ -125,6 +125,11 @@ pub struct ScaleCell {
     pub migrations_completed: usize,
     /// Aborted migration reports.
     pub migrations_aborted: usize,
+    /// Started migrations still running when the window closed: neither
+    /// completed nor aborted, so `started == completed + aborted +
+    /// in_flight`. Not in [`det_fingerprint`](Self::det_fingerprint),
+    /// whose string predates it; it follows from the three counts there.
+    pub migrations_in_flight: usize,
     /// Worst freeze time over completed migrations (µs).
     pub freeze_us_max: u64,
     /// Worst start-to-resume time over completed migrations (µs).
@@ -396,6 +401,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleCell {
         migrations_rejected,
         migrations_completed,
         migrations_aborted,
+        migrations_in_flight: w.active_migrations(),
         freeze_us_max,
         total_us_max,
         demand_fetch_pages,
@@ -520,6 +526,10 @@ pub fn scale_json(cells: &[ScaleCell], baseline: Option<&Baseline>) -> Json {
             Json::Num(c.migrations_completed as f64),
         );
         o.set("migrations_aborted", Json::Num(c.migrations_aborted as f64));
+        o.set(
+            "migrations_in_flight",
+            Json::Num(c.migrations_in_flight as f64),
+        );
         o.set("demand_fetch_pages", Json::Num(c.demand_fetch_pages as f64));
         o.set("demand_fetch_bytes", Json::Num(c.demand_fetch_bytes as f64));
         o.set("writeback_pages", Json::Num(c.writeback_pages as f64));
@@ -693,6 +703,7 @@ mod tests {
             migrations_rejected: 0,
             migrations_completed: 1,
             migrations_aborted: 0,
+            migrations_in_flight: 0,
             freeze_us_max: 100,
             total_us_max: 500,
             phase_us: BTreeMap::new(),

@@ -16,8 +16,13 @@ fn smoke_cell_is_deterministic_and_its_json_roundtrips() {
         "same seed, same world, same metrics"
     );
 
-    // The run did what the config asked for.
+    // The run did what the config asked for, and every started migration
+    // is accounted for.
     assert_eq!(a.migrations_started, cfg.migrations);
+    assert_eq!(
+        a.migrations_started,
+        a.migrations_completed + a.migrations_aborted + a.migrations_in_flight
+    );
     assert_eq!(
         a.migrations_completed + a.migrations_aborted,
         cfg.migrations
@@ -52,6 +57,7 @@ fn smoke_cell_is_deterministic_and_its_json_roundtrips() {
         "wall_ms",
         "wall_ms_per_sim_s",
         "migrations_completed",
+        "migrations_in_flight",
     ] {
         assert!(
             parsed_cells[0].get(key).is_some(),

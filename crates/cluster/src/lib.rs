@@ -44,6 +44,7 @@
 pub mod app;
 pub mod event;
 pub mod host;
+mod timers;
 pub mod world;
 
 pub use app::{App, AppCtx};

@@ -3,6 +3,7 @@
 use crate::app::{App, AppCtx};
 use crate::event::Event;
 use crate::host::{Host, HostKind, ProcEntry};
+use crate::timers::SockTimers;
 use dvelm_faults::{CtrlDir, Fault, FaultPlan, HostSet};
 use dvelm_lb::{
     AdmissionConfig, AdmissionControl, Conductor, LbEffect, LbMsg, LoadInfo, PolicyConfig,
@@ -18,7 +19,7 @@ use dvelm_net::{
     BroadcastRouter, ClusterSwitch, Ip, LossModel, NodeId, Port, RouteError, SockAddr, ZoneId,
 };
 use dvelm_proc::{Fd, FdEntry, Pid, Process, PAGE_SIZE};
-use dvelm_sim::{DetRng, Mailbox, ShardedScheduler, SimTime, WorkerPool};
+use dvelm_sim::{DetRng, DispatchKey, Mailbox, ShardedScheduler, SimTime, WorkerPool};
 use dvelm_stack::{
     CaptureBudget, CaptureKey, HostStack, PressureKind, Segment, SockId, StackEffect,
 };
@@ -368,6 +369,9 @@ pub struct World {
     /// clearing.
     host_mark: Vec<u64>,
     round_gen: u64,
+    /// Each TCP socket's pending retransmission timer event and deferred
+    /// arm, keyed by `(host, SockId)`.
+    timers: SockTimers,
 }
 
 impl World {
@@ -428,6 +432,7 @@ impl World {
             round_tasks: Vec::new(),
             host_mark: Vec::new(),
             round_gen: 0,
+            timers: SockTimers::default(),
         }
     }
 
@@ -459,6 +464,14 @@ impl World {
     /// growth without faults indicates a topology bug.
     pub fn route_errors(&self) -> u64 {
         self.route_errors
+    }
+
+    /// Sockets of `host` with a retransmission timer event in the
+    /// scheduler. A socket's slot is freed when its last timer event fires
+    /// and when the host crashes, so a host whose sockets have gone quiet
+    /// holds none.
+    pub fn pending_sock_timers(&self, host: usize) -> usize {
+        self.timers.on_host(host)
     }
 
     /// Turn on the invariant monitor, seeding its ownership model with
@@ -1307,6 +1320,7 @@ impl World {
             self.forget_zone_interest(pid);
         }
         self.capture_owner.retain(|(h, _), _| *h != host);
+        self.timers.clear_host(host);
         self.hosts[host].procs.clear();
         self.hosts[host].sock_owner.clear();
         self.hosts[host].conductor = None;
@@ -1530,7 +1544,7 @@ impl World {
                 self.run_rx_round();
             } else {
                 let (_, event) = self.sched.pop_next().expect("peeked event exists");
-                self.dispatch(event);
+                self.dispatch(key, event);
             }
         }
     }
@@ -1689,7 +1703,8 @@ impl World {
         self.run_until(deadline);
     }
 
-    fn dispatch(&mut self, event: Event) {
+    /// Dispatch one popped event; `key` is the key it was popped under.
+    fn dispatch(&mut self, key: DispatchKey, event: Event) {
         // Events addressed to a crashed host die at its doorstep.
         let target_host = match &event {
             // Broadcast batches carry several hosts; liveness is checked
@@ -1747,6 +1762,12 @@ impl World {
                 let now = self.now();
                 let fx = self.hosts[host].stack.on_timer(sock, gen, now);
                 self.apply_effects(host, fx);
+                // The socket's deferred arm, if any, takes this event's
+                // place in the scheduler under the key it reserved.
+                if let Some((key, gen)) = self.timers.fired((host, sock), key) {
+                    self.sched
+                        .schedule_keyed(key, Event::SockTimer { host, sock, gen });
+                }
             }
             Event::AppTick { host, pid, gen } => self.on_app_tick(host, pid, gen),
             Event::AppRead { host, pid, sock } => self.on_app_read(host, pid, sock),
@@ -2516,8 +2537,14 @@ impl World {
                 }
             }
             StackEffect::ArmTimer { sock, gen, at } => {
-                self.sched
-                    .schedule_at(at, Event::SockTimer { host, sock, gen });
+                // The key is taken now even if the event is scheduled
+                // later or never, so every other event keeps its key.
+                let key = self.sched.reserve_key(at);
+                // A dead host's timers die at its doorstep.
+                if self.hosts[host].alive && self.timers.arm((host, sock), key, gen) {
+                    self.sched
+                        .schedule_keyed(key, Event::SockTimer { host, sock, gen });
+                }
             }
             StackEffect::Established { sock } => {
                 if let Some(&(pid, fd)) = self.hosts[host].sock_owner.get(&sock) {

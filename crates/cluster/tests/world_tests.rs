@@ -7,7 +7,7 @@ use dvelm_cluster::{App, AppCtx, World, WorldConfig};
 use dvelm_migrate::Strategy;
 use dvelm_net::{Ip, Port, SockAddr};
 use dvelm_proc::Fd;
-use dvelm_sim::{MILLISECOND, SECOND};
+use dvelm_sim::{SimTime, MILLISECOND, SECOND};
 use dvelm_stack::udp::Datagram;
 use dvelm_stack::Skb;
 use std::cell::RefCell;
@@ -477,4 +477,201 @@ fn migration_destination_captures_broadcast_tcp_and_loses_nothing() {
         "no byte lost"
     );
     assert_eq!(&*echoed.borrow(), &*seen.borrow(), "everything echoed back");
+}
+
+/// A TCP echo stream between two server nodes: `client` on `n1` sends
+/// `max` five-byte messages, one per 20 ms tick, to `server` on `n0`,
+/// whose port 7000 is on the packet log.
+struct EchoPair {
+    w: World,
+    n0: usize,
+    n1: usize,
+    server: dvelm_proc::Pid,
+    seen: Rc<RefCell<Vec<u8>>>,
+    echoed: Rc<RefCell<Vec<u8>>>,
+}
+
+fn echo_pair(max: u32) -> EchoPair {
+    let mut w = World::new(WorldConfig::default());
+    let n0 = w.add_server_node();
+    let n1 = w.add_server_node();
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let server = w.spawn_process(
+        n0,
+        "echo_srv",
+        16,
+        64,
+        Box::new(EchoServer { seen: seen.clone() }),
+    );
+    let saddr = SockAddr::new(w.hosts[n0].stack.local_ip, 7000);
+    w.app_tcp_listen(n0, server, saddr);
+    w.enable_packet_log(Port(7000));
+    let echoed = Rc::new(RefCell::new(Vec::new()));
+    let client = w.spawn_process(
+        n1,
+        "client",
+        8,
+        16,
+        Box::new(EchoClient {
+            fd: None,
+            sent: 0,
+            max,
+            period_us: 20 * MILLISECOND,
+            echoed: echoed.clone(),
+        }),
+    );
+    w.app_tcp_connect(n1, client, saddr, true);
+    EchoPair {
+        w,
+        n0,
+        n1,
+        server,
+        seen,
+        echoed,
+    }
+}
+
+/// On-wire size of a frame carrying one of `EchoClient`'s messages.
+const MSG_FRAME: u64 = dvelm_stack::IP_HEADER_LEN + dvelm_stack::TCP_HEADER_LEN + 5;
+
+fn cut_between(a: usize, b: usize, for_us: u64) -> dvelm_cluster::Fault {
+    dvelm_cluster::Fault::Partition {
+        groups: [
+            dvelm_faults::HostSet::of(&[a]),
+            dvelm_faults::HostSet::of(&[b]),
+        ],
+        for_us,
+    }
+}
+
+#[test]
+fn retransmissions_leave_at_the_last_arms_deadline_across_a_healed_partition() {
+    use dvelm_cluster::Event;
+    use dvelm_stack::Socket;
+    use std::collections::BTreeMap;
+
+    let max = 40;
+    let mut p = echo_pair(max);
+    let (n0, n1) = (p.n0, p.n1);
+    let w = &mut p.w;
+    // Per socket: its last arm, and the sequence numbers handed out in the
+    // step that made it.
+    struct LastArm {
+        gen: u64,
+        deadline: Option<SimTime>,
+        seqs: std::ops::Range<u64>,
+    }
+    let mut arms: BTreeMap<(usize, dvelm_stack::SockId), LastArm> = BTreeMap::new();
+    let mut logged = 0;
+    let mut originals = 0;
+    let mut partitioned = false;
+    let mut echoed_last = false;
+    let mut retransmits = [0u32; 2];
+    let end = SimTime::from_secs(20);
+    // Step one instant at a time, peeking the event that leads it.
+    while let Some((key, ev)) = w.sched.peek() {
+        if key.at > end {
+            break;
+        }
+        let head = match ev {
+            Event::SockTimer { host, sock, gen } => Some((*host, *sock, *gen)),
+            _ => None,
+        };
+        let seq_lo = w.sched.stats().scheduled;
+        w.run_until(key.at);
+        let seq_hi = w.sched.stats().scheduled;
+        for e in &w.packet_log[logged..] {
+            if e.bytes != MSG_FRAME {
+                continue;
+            }
+            // Once the cut is in, every message frame is a retransmission,
+            // except the server's echo of the last message.
+            let host = e.from_host;
+            if !partitioned || (host == n0 && !echoed_last) {
+                originals += u32::from(host == n1);
+                echoed_last |= partitioned;
+                continue;
+            }
+            // It leaves at the deadline of its socket's last arm, from the
+            // timer event scheduled under the key that arm reserved.
+            let (sock, gen) = match head {
+                Some((h, sock, gen)) if h == host => (sock, gen),
+                _ => panic!("retransmission at {:?} not sent by a timer", e.at),
+            };
+            let arm = arms.get(&(host, sock)).expect("timer was armed");
+            assert_eq!(Some(e.at), arm.deadline, "retransmission off its deadline");
+            assert_eq!(gen, arm.gen, "fired by an older arm");
+            assert!(
+                arm.seqs.contains(&key.seq),
+                "timer dispatched under seq {} instead of the key its arm reserved in {:?}",
+                key.seq,
+                arm.seqs
+            );
+            retransmits[usize::from(host == n1)] += 1;
+        }
+        logged = w.packet_log.len();
+        // The last message is on the wire: cut the path before it is
+        // acknowledged, and heal 2.5 s later (off the backoff schedule, so
+        // the heal and a retransmission never share an instant).
+        if originals == max && !partitioned {
+            partitioned = true;
+            w.inject_fault(cut_between(n0, n1, 2_500 * MILLISECOND));
+        }
+        for h in [n0, n1] {
+            for sid in w.hosts[h].stack.socket_ids() {
+                if let Some(Socket::Tcp(t)) = w.hosts[h].stack.sock(sid) {
+                    let (gen, deadline) = (t.timer_gen, t.timer_deadline());
+                    let last = arms.get(&(h, sid)).map(|a| (a.gen, a.deadline));
+                    if deadline.is_some() && last != Some((gen, deadline)) {
+                        let seqs = seq_lo..seq_hi;
+                        arms.insert(
+                            (h, sid),
+                            LastArm {
+                                gen,
+                                deadline,
+                                seqs,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(partitioned);
+    // Each side backs off from the 200 ms minimum RTO: 0.2, 0.6 and 1.4 s
+    // into the cut, then 3.0 s, after the heal, which gets through.
+    assert_eq!(retransmits, [4, 4], "[server, client] retransmissions");
+    let expect: String = (1..=max).map(|i| format!("m{i:03}|")).collect();
+    assert_eq!(String::from_utf8_lossy(&p.seen.borrow()), expect);
+    assert_eq!(String::from_utf8_lossy(&p.echoed.borrow()), expect);
+    // Every timer has fired and nothing is in flight: no slot is left.
+    assert_eq!(p.w.pending_sock_timers(n0), 0);
+    assert_eq!(p.w.pending_sock_timers(n1), 0);
+}
+
+#[test]
+fn closed_sockets_and_crashed_hosts_keep_no_timer_slots() {
+    let mut p = echo_pair(100);
+    let (n0, n1) = (p.n0, p.n1);
+    // Cut the stream for good: unacknowledged messages and echoes keep
+    // both sides' retransmission timers armed.
+    p.w.run_for(500 * MILLISECOND);
+    p.w.inject_fault(cut_between(n0, n1, 0));
+    p.w.run_for(SECOND);
+    assert!(p.w.pending_sock_timers(n0) > 0);
+    assert!(p.w.pending_sock_timers(n1) > 0);
+    // Killing the server releases its sockets; their timers fire as
+    // no-ops within one maximal RTO and free the slots.
+    assert!(p.w.kill_process(p.server));
+    p.w.run_for(dvelm_stack::tcp::RTO_MAX_US + SECOND);
+    assert_eq!(p.w.pending_sock_timers(n0), 0);
+    assert!(
+        p.w.pending_sock_timers(n1) > 0,
+        "the client still retransmits"
+    );
+    // A crash drops the host's slots at once; its events die unseen.
+    p.w.crash_node(n1);
+    assert_eq!(p.w.pending_sock_timers(n1), 0);
+    p.w.run_for(5 * SECOND);
+    assert_eq!(p.w.pending_sock_timers(n1), 0);
 }

@@ -97,13 +97,23 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` to fire at absolute instant `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.push_keyed(DispatchKey { at, seq }, event);
+        let key = self.reserve(at);
+        self.push_keyed(key, event);
     }
 
-    /// Schedule `event` under an externally allocated dispatch key. Used by
-    /// the sharded scheduler, which hands out sequence numbers from a single
-    /// counter shared by all shards so the N-way merge stays a total order.
+    /// Allocate the next sequence number for instant `at` without pushing
+    /// anything. The key counts as scheduled; its event may be pushed
+    /// later with [`push_keyed`](Self::push_keyed), or never.
+    pub fn reserve(&mut self, at: SimTime) -> DispatchKey {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        DispatchKey { at, seq }
+    }
+
+    /// Schedule `event` under an externally allocated dispatch key: one
+    /// handed out by [`reserve`](Self::reserve), or by the sharded
+    /// scheduler's counter shared by all shards so the N-way merge stays a
+    /// total order.
     pub fn push_keyed(&mut self, key: DispatchKey, event: E) {
         self.next_seq = self.next_seq.max(key.seq + 1);
         let slot = self.free.pop().unwrap_or_else(|| {

@@ -61,10 +61,30 @@ impl<E> Scheduler<E> {
     /// clamped to `now` (the event fires immediately, after already-pending
     /// events for `now`) and counted in [`SchedStats::clamped`].
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        let key = self.reserve_key(at);
+        self.queue.push_keyed(key, event);
+    }
+
+    /// Take the dispatch key `schedule_at(at, ..)` would give an event now,
+    /// without scheduling one: the clamp to `now`, the
+    /// [`SchedStats::clamped`] count and the sequence number are consumed
+    /// exactly as `schedule_at` consumes them, so every later event keeps
+    /// its key whether or not this one is ever scheduled. Hand the key to
+    /// [`schedule_keyed`](Self::schedule_keyed) to schedule it.
+    pub fn reserve_key(&mut self, at: SimTime) -> DispatchKey {
         if at < self.now {
             self.clamped += 1;
         }
-        self.queue.push(at.max(self.now), event);
+        self.queue.reserve(at.max(self.now))
+    }
+
+    /// Schedule an event under a key from [`reserve_key`](Self::reserve_key).
+    /// It dispatches exactly where it would have had it been scheduled
+    /// when the key was reserved, provided no event with a larger key has
+    /// been popped since.
+    pub fn schedule_keyed(&mut self, key: DispatchKey, event: E) {
+        debug_assert!(key.at >= self.now, "reserved key lies in the past");
+        self.queue.push_keyed(key, event);
     }
 
     /// Schedule an event `delay_us` microseconds from now.
@@ -153,6 +173,32 @@ mod tests {
     }
 
     #[test]
+    fn reserved_key_holds_its_place() {
+        let mut s: Scheduler<&str> = Scheduler::new();
+        s.schedule_after(10, "a");
+        s.pop_next();
+        // A past instant clamps to `now` and counts, as in `schedule_at`.
+        let k = s.reserve_key(SimTime::from_micros(5));
+        assert_eq!((k.at, k.seq), (SimTime::from_micros(10), 1));
+        assert_eq!(s.clamped(), 1);
+        s.schedule_at(s.now(), "c");
+        assert_eq!(
+            s.stats().scheduled,
+            3,
+            "the reservation counts as scheduled"
+        );
+        assert_eq!(s.pending(), 1);
+        s.schedule_keyed(k, "b");
+        assert_eq!(
+            s.pop_next().unwrap().1,
+            "b",
+            "the reserved seq wins the tie"
+        );
+        assert_eq!(s.pop_next().unwrap().1, "c");
+        assert_eq!(s.stats().scheduled, 3);
+    }
+
+    #[test]
     fn relative_scheduling_is_from_current_time() {
         let mut s: Scheduler<u32> = Scheduler::new();
         s.schedule_after(10, 0);
@@ -198,6 +244,33 @@ mod prop_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Schedule every held reservation that must not wait any longer: the
+    /// ones keyed before the next pending event, or all of them when
+    /// nothing is pending.
+    fn materialize_due(s: &mut Scheduler<usize>, held: &mut Vec<(DispatchKey, usize)>) {
+        let head = s.peek().map(|(k, _)| k);
+        let (due, keep): (Vec<_>, Vec<_>) = held
+            .drain(..)
+            .partition(|(k, _)| head.is_none_or(|h| *k < h));
+        *held = keep;
+        for (key, e) in due {
+            s.schedule_keyed(key, e);
+        }
+    }
+
+    /// Pop the next event whose id is not dead.
+    fn pop_live(
+        s: &mut Scheduler<usize>,
+        dead: &std::collections::BTreeSet<usize>,
+    ) -> Option<(SimTime, usize)> {
+        loop {
+            let (at, e) = s.pop_next()?;
+            if !dead.contains(&e) {
+                return Some((at, e));
+            }
+        }
+    }
+
     proptest! {
         /// Events always come out in nondecreasing time order and the clock
         /// never runs backwards, for any scheduling pattern.
@@ -215,6 +288,73 @@ mod prop_tests {
                 popped += 1;
             }
             prop_assert_eq!(popped, delays.len());
+        }
+
+        /// Reserving keys and scheduling their events later, or never, is
+        /// indistinguishable from scheduling every event at reservation
+        /// time. A reference scheduler schedules each event directly,
+        /// and a reservation that is never materialized becomes a dead
+        /// event there, popped and ignored. The subject materializes a
+        /// reservation at a random later point, and at the latest just
+        /// before an event with a larger key would pop (the contract of
+        /// `schedule_keyed`). Instants are drawn from a narrow range, so
+        /// same-instant ties and past (clamped) instants are common. The
+        /// live pop sequences, clocks, and `scheduled`/`clamped` counters
+        /// must agree throughout.
+        #[test]
+        fn reserved_keys_dispatch_as_if_scheduled_directly(
+            ops in proptest::collection::vec((0u8..6, 0u64..48, 0usize..16), 1..300),
+        ) {
+            let mut subject: Scheduler<usize> = Scheduler::new();
+            let mut reference: Scheduler<usize> = Scheduler::new();
+            let mut dead = std::collections::BTreeSet::new();
+            // Reservations not yet materialized or dropped: (key, event).
+            let mut held: Vec<(DispatchKey, usize)> = Vec::new();
+            for (id, (op, at, pick)) in ops.into_iter().enumerate() {
+                let at = SimTime::from_micros(at);
+                match op {
+                    0 | 1 => {
+                        subject.schedule_at(at, id);
+                        reference.schedule_at(at, id);
+                    }
+                    2 => {
+                        held.push((subject.reserve_key(at), id));
+                        reference.schedule_at(at, id);
+                    }
+                    3 if !held.is_empty() => {
+                        let (key, e) = held.swap_remove(pick % held.len());
+                        subject.schedule_keyed(key, e);
+                    }
+                    4 if !held.is_empty() => {
+                        let (_, e) = held.swap_remove(pick % held.len());
+                        dead.insert(e);
+                    }
+                    5 => {
+                        materialize_due(&mut subject, &mut held);
+                        let got = subject.pop_next();
+                        // An empty subject pops nothing, so the reference
+                        // must not run ahead through its dead events.
+                        if got.is_some() {
+                            prop_assert_eq!(got, pop_live(&mut reference, &dead));
+                            prop_assert_eq!(subject.now(), reference.now());
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(subject.stats().scheduled, reference.stats().scheduled);
+                prop_assert_eq!(subject.clamped(), reference.clamped());
+            }
+            loop {
+                materialize_due(&mut subject, &mut held);
+                let got = subject.pop_next();
+                prop_assert_eq!(got, pop_live(&mut reference, &dead));
+                if got.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(held.is_empty());
+            prop_assert_eq!(subject.stats().scheduled, reference.stats().scheduled);
+            prop_assert_eq!(subject.clamped(), reference.clamped());
         }
 
         /// FIFO among equal timestamps regardless of surrounding events.

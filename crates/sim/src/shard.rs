@@ -66,14 +66,33 @@ impl<E> ShardedScheduler<E> {
     /// clamped to `now` and counted in [`SchedStats::clamped`]; under
     /// sharding a nonzero count signals a lookahead bug.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        let key = self.reserve_key(at);
+        self.schedule_keyed(key, event);
+    }
+
+    /// Take the dispatch key `schedule_at(at, ..)` would give an event now,
+    /// without scheduling one — the drop-in equivalent of
+    /// [`Scheduler::reserve_key`](crate::Scheduler::reserve_key).
+    pub fn reserve_key(&mut self, at: SimTime) -> DispatchKey {
         if at < self.now {
             self.clamped += 1;
         }
-        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
+        DispatchKey {
+            at: at.max(self.now),
+            seq,
+        }
+    }
+
+    /// Schedule an event under a key from
+    /// [`reserve_key`](Self::reserve_key), on the shard its router picks —
+    /// the drop-in equivalent of
+    /// [`Scheduler::schedule_keyed`](crate::Scheduler::schedule_keyed).
+    pub fn schedule_keyed(&mut self, key: DispatchKey, event: E) {
+        debug_assert!(key.at >= self.now, "reserved key lies in the past");
         let shard = ((self.router)(&event) % self.shards.len() as u64) as usize;
-        self.shards[shard].push_keyed(DispatchKey { at, seq }, event);
+        self.shards[shard].push_keyed(key, event);
     }
 
     /// Schedule an event `delay_us` microseconds from now.
@@ -336,6 +355,9 @@ mod prop_tests {
     #[derive(Debug, Clone)]
     enum Op {
         Push(u64),
+        /// Reserve a key `d` µs ahead; the event is scheduled under it at
+        /// the next `Pop`, before anything pops.
+        Reserve(u64),
         Pop,
     }
 
@@ -343,6 +365,7 @@ mod prop_tests {
         proptest::collection::vec(
             prop_oneof![
                 (0u64..5_000).prop_map(Op::Push),
+                (0u64..5_000).prop_map(Op::Reserve),
                 proptest::strategy::Just(Op::Pop),
             ],
             1..300,
@@ -358,17 +381,31 @@ mod prop_tests {
         fn n_way_merge_equals_sequential_pop_order(ops in ops(), shards in 1usize..8) {
             let mut seq: Scheduler<usize> = Scheduler::new();
             let mut sh: ShardedScheduler<usize> = ShardedScheduler::new(shards, by_value);
+            let mut held = Vec::new();
             for (i, op) in ops.iter().enumerate() {
                 match op {
                     Op::Push(d) => {
                         seq.schedule_after(*d, i);
                         sh.schedule_after(*d, i);
                     }
+                    Op::Reserve(d) => {
+                        let key = seq.reserve_key(seq.now() + *d);
+                        prop_assert_eq!(key, sh.reserve_key(sh.now() + *d));
+                        held.push((key, i));
+                    }
                     Op::Pop => {
+                        for (key, e) in held.drain(..) {
+                            seq.schedule_keyed(key, e);
+                            sh.schedule_keyed(key, e);
+                        }
                         prop_assert_eq!(seq.pop_next(), sh.pop_next());
                         prop_assert_eq!(seq.now(), sh.now());
                     }
                 }
+            }
+            for (key, e) in held.drain(..) {
+                seq.schedule_keyed(key, e);
+                sh.schedule_keyed(key, e);
             }
             loop {
                 let a = seq.pop_next();

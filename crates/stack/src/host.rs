@@ -639,9 +639,13 @@ impl HostStack {
     // timers
     // ------------------------------------------------------------------
 
-    /// A previously armed retransmission timer fired. Stale fires (released
-    /// socket, bumped generation, rescheduled deadline) are ignored — lazy
-    /// cancellation.
+    /// A previously armed retransmission timer fired. This is the only
+    /// judge of staleness: a fire for a released socket, an older
+    /// generation or a deadline still ahead does nothing. So the caller
+    /// may coalesce arms: it keeps one timer event per socket and delivers
+    /// a later arm only when that event has fired, or drops it when a
+    /// newer arm replaces it first. Only the socket's latest arm must be
+    /// delivered, at its own deadline.
     pub fn on_timer(&mut self, sid: SockId, gen: u64, now: SimTime) -> Vec<StackEffect> {
         let Some(Socket::Tcp(t)) = self.socks.get(&sid) else {
             return Vec::new();
@@ -795,7 +799,9 @@ impl HostStack {
                 }
                 TcpOut::PeerFin => fx.push(StackEffect::PeerFin { sock: sid }),
                 TcpOut::ArmTimer(at) => fx.push(StackEffect::ArmTimer { sock: sid, gen, at }),
-                TcpOut::StopTimer => {} // lazy cancellation
+                // Nothing to cancel: the stop bumped the generation, so the
+                // pending timer event fires as a no-op.
+                TcpOut::StopTimer => {}
                 TcpOut::Closed => {
                     // Unhash so the 4-tuple becomes reusable; the struct
                     // stays readable until release().
