@@ -2,6 +2,8 @@
 //! incremental tracking, socket record/delta computation and a small
 //! end-to-end migration per strategy.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dvelm_ckpt::{full_checkpoint, incremental_update, IncrementalTracker};
 use dvelm_dve::{run_freeze_bench, FreezeBenchConfig};

@@ -1,6 +1,8 @@
 //! Criterion microbenchmarks of the load-balancing middleware: policy
 //! evaluation, conductor ticks and the flow-level DVE step.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dvelm_dve::{run_flow_sim, FlowSimConfig};
 use dvelm_lb::{Conductor, LoadInfo, PolicyConfig};

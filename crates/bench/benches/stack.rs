@@ -2,6 +2,8 @@
 //! processing, capture-table matching, translation, socket records and the
 //! wire encoder.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dvelm_ckpt::{WireReader, WireWriter};

@@ -1,6 +1,8 @@
 //! Ablation harness: the §III-B packet-loss-prevention mechanism on vs off,
 //! on the OpenArena workload. Quantifies what the capture hook saves.
 
+#![forbid(unsafe_code)]
+
 use dvelm_metrics::Table;
 use dvelm_openarena::{run_scenario, OaScenario};
 use dvelm_sim::SimTime;

@@ -2,6 +2,8 @@
 //! Fig. 5b/5c sweep. Pass connection counts as arguments to change the
 //! sweep grid (default 16…1024).
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let conns: Vec<usize> = {
         let args: Vec<usize> = std::env::args()

@@ -2,6 +2,8 @@
 //! application-layer zone-handoff baseline, on the identical 900 s DVE
 //! workload.
 
+#![forbid(unsafe_code)]
+
 use dvelm_dve::{run_app_layer_sim, run_flow_sim, AppLayerConfig, FlowSimConfig};
 use dvelm_metrics::Table;
 

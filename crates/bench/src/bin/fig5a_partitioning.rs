@@ -2,6 +2,8 @@
 //! assignment and the high-level direction of client movement during the
 //! simulation, plus the measured client distribution at three instants.
 
+#![forbid(unsafe_code)]
+
 use dvelm_dve::{ClientPopulation, MovementConfig, VirtualSpace, ZoneId, GRID};
 
 fn grid_at(pop: &ClientPopulation, space: &VirtualSpace) -> String {

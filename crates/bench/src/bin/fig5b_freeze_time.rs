@@ -2,6 +2,8 @@
 //! collective and incremental collective socket migration, 16…1024
 //! connections.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let conns = dvelm_bench_args();
     let cells = dvelm_bench::freeze_sweep(&conns, 3, workers());

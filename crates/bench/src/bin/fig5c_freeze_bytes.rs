@@ -1,6 +1,8 @@
 //! Regenerates Fig. 5c: socket data transferred during the freeze phase,
 //! 16…1024 connections.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let conns: Vec<usize> = {
         let args: Vec<usize> = std::env::args()

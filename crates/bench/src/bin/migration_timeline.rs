@@ -1,6 +1,8 @@
 //! Prints the Fig. 3 protocol timeline of one concrete migration: every
 //! phase entry with its timestamp and the derived intervals.
 
+#![forbid(unsafe_code)]
+
 use dvelm_dve::{run_freeze_bench, FreezeBenchConfig};
 use dvelm_migrate::Strategy;
 

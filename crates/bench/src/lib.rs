@@ -5,6 +5,8 @@
 //! `all_figures` binary can share results between Fig. 5b and Fig. 5c
 //! (they come from the same runs).
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod scale;
 

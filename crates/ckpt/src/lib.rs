@@ -20,6 +20,8 @@
 //! Socket migration is the contribution of the paper and lives in
 //! `dvelm-migrate`.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod dirty;
 pub mod image;

@@ -41,6 +41,8 @@
 //! assert!(world.reports[0].freeze_us() < 50_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod event;
 pub mod host;
@@ -52,6 +54,5 @@ pub use dvelm_faults::{Fault, FaultPlan};
 pub use event::Event;
 pub use host::{Host, HostKind, ProcEntry};
 pub use world::{
-    shards_from_env, MigId, MigrationOutcome, PacketLogEntry, Recovery, ResourceUsage, World,
-    WorldConfig,
+    MigId, MigrationOutcome, PacketLogEntry, Recovery, ResourceUsage, World, WorldConfig,
 };

@@ -8,14 +8,14 @@
 //! one event in the scheduler — the *pending* one — like Linux's single
 //! `mod_timer`-ed timer per socket. An arm due no earlier than the pending
 //! event is *deferred*: its dispatch key is reserved at arm time
-//! ([`ShardedScheduler::reserve_key`]), it replaces any older deferred arm,
+//! ([`Scheduler::reserve_key`]), it replaces any older deferred arm,
 //! and it is scheduled under that reserved key when the pending event
 //! fires. So every arm that can do anything dispatches under exactly the
 //! key it would have had if it had been scheduled at arm time, and the
 //! arms that are never scheduled are the ones the stack would have
 //! dropped.
 //!
-//! [`ShardedScheduler::reserve_key`]: dvelm_sim::ShardedScheduler::reserve_key
+//! [`Scheduler::reserve_key`]: dvelm_sim::Scheduler::reserve_key
 
 use dvelm_sim::DispatchKey;
 use dvelm_stack::SockId;

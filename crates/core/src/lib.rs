@@ -43,6 +43,8 @@
 //! assert!(iterative > 3 * incremental);
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// Timing and size models for transfer/freeze cost accounting.
 pub mod cost;
 /// The typed cross-layer effect stream ([`Effect`], [`AbortReason`]).

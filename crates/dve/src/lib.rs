@@ -15,6 +15,8 @@
 //! * a flow-level 900 s simulation ([`flowsim`]) driving the *same*
 //!   `dvelm-lb` conductor code — the Fig. 5d/5e/5f experiment.
 
+#![forbid(unsafe_code)]
+
 pub mod applayer;
 pub mod apps;
 pub mod clients;

@@ -32,6 +32,8 @@
 //!   RNG, exercising the conductor protocol's idempotency and
 //!   epoch-fencing guarantees.
 
+#![forbid(unsafe_code)]
+
 use dvelm_net::LossModel;
 use dvelm_proc::Pid;
 use dvelm_sim::SimTime;

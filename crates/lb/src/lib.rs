@@ -41,6 +41,8 @@
 //!     .any(|a| matches!(a, LbEffect::Send(NodeId(1), LbMsg::MigRequest { .. }))));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod conductor;
 pub mod info;

@@ -7,7 +7,7 @@
 //! capture pressure. This crate encodes those incident classes — plus the
 //! determinism and hygiene rules that prevent the next ones — in two layers:
 //!
-//! * **Lexical rules (R1–R6)**, in [`rules`]: pure functions over one file's
+//! * **Lexical rules (R1–R5)**, in [`rules`]: pure functions over one file's
 //!   token stream ([`FileCtx`]).
 //! * **Semantic rules (R7–R9)**, in [`semantic`]: run over a workspace-wide
 //!   symbol graph ([`graph::SymbolGraph`]) built by a lightweight parser
@@ -24,7 +24,6 @@
 //! | R3 `no-wildcard-arm` | error | all crates | no `_` arm in matches over `Effect`/`AbortReason`/`Fault`/`Event` |
 //! | R4 `panic-hygiene` | error | core, stack | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` |
 //! | R5 `doc-hygiene` | warning | core, stack | every `pub` item documented |
-//! | R6 `shard-isolation` | error | sim, core, stack, cluster, lb | no shared-state concurrency primitives outside `sim/par.rs` |
 //! | R7 `effect-coverage` | error | workspace | every `Effect`/`LbEffect`/`Fault` variant dispatched and constructed |
 //! | R8 `abort-row` | error | workspace | every entered `PhaseId` has an abort row; every emittable `AbortReason` is asserted in a matrix test |
 //! | R9 `clock-dataflow` | error | sim family + dve | no `SimTime::ZERO`-derived constant into a clock parameter, transitively |
@@ -38,6 +37,8 @@
 //! `impl` blocks of one file never share a suppression. CI fails if the file
 //! grows. `check` treats warnings as errors (strict mode) so the tree stays
 //! clean.
+
+#![forbid(unsafe_code)]
 
 pub mod graph;
 pub mod lexer;
@@ -465,16 +466,6 @@ pub const RULES: &[RuleInfo] = &[
         src: RULES_SRC,
     },
     RuleInfo {
-        id: "R6",
-        name: "shard-isolation",
-        severity: Severity::Error,
-        layer: "lexical",
-        scope: "sim,core,stack,cluster,lb",
-        summary: "no Mutex/RwLock/Condvar/Atomic*/mpsc/thread::spawn outside sim/par.rs",
-        fn_ident: "r6_shard_isolation",
-        src: RULES_SRC,
-    },
-    RuleInfo {
         id: "R7",
         name: "effect-coverage",
         severity: Severity::Error,
@@ -547,7 +538,6 @@ fn lexical_rules(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     rules::r3_no_wildcard_arm(ctx, out);
     rules::r4_panic_hygiene(ctx, out);
     rules::r5_doc_hygiene(ctx, out);
-    rules::r6_shard_isolation(ctx, out);
 }
 
 /// Run every lexical rule over one file. `path` must be repo-relative with

@@ -1,5 +1,7 @@
 //! Command-line front end: `cargo run -p dvelm-lint -- check`.
 
+#![forbid(unsafe_code)]
+
 use dvelm_lint::{check_workspace, explain, Allowlist, CheckReport, Severity, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;

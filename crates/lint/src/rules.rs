@@ -1,4 +1,4 @@
-//! The lexical lint rules (R1–R6). Each rule is a pure function over a
+//! The lexical lint rules (R1–R5). Each rule is a pure function over a
 //! [`FileCtx`] appending [`Diagnostic`]s; scoping (which crates a rule
 //! watches) lives here next to the rule it configures. Cross-file rules
 //! (R7–R9) live in [`crate::semantic`] and run over the symbol graph.
@@ -47,7 +47,7 @@ const R3_ENUMS: &[&str] = &[
 /// (unseeded randomness) in simulation-facing crates.
 ///
 /// Lineage: the repo's acceptance bar is byte-identical fig5b/5c/timeline
-/// output across PRs and shard counts; one RandomState iteration in a hot
+/// output across PRs and runs; one RandomState iteration in a hot
 /// loop silently reorders events and breaks that forever.
 ///
 /// Bad:  `let mut queues: HashMap<NodeId, Vec<Msg>> = HashMap::new();`
@@ -340,60 +340,6 @@ pub fn r5_doc_hygiene(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The one sanctioned home for shared-state concurrency primitives: the
-/// worker pool implementing the parallel core's barrier protocol. Everything
-/// else in the simulation family must cross shard boundaries through the
-/// `dvelm_sim` mailbox/round API, never through ad-hoc shared state.
-const R6_EXEMPT: &[&str] = &["crates/sim/src/par.rs"];
-
-/// R6 `shard-isolation`: no `Mutex`/`RwLock`/`Condvar`/`Atomic*`/`mpsc`/
-/// `thread::spawn`/`thread::scope` in simulation-facing crates outside the
-/// sanctioned pool module. The parallel core's determinism contract is that
-/// workers communicate only through per-task mailboxes drained at the
-/// barrier in dispatch order; a stray primitive is a channel for
-/// scheduling-dependent (thread-count-dependent) behaviour to leak into
-/// simulation state.
-///
-/// Lineage: PR 6 sharded the event loop with a byte-identical-at-any-
-/// thread-count guarantee; that guarantee survives only while `sim/par.rs`
-/// is the single home of shared-state primitives.
-///
-/// Bad:  `static HITS: AtomicU64 = AtomicU64::new(0);` in a shard hot path.
-/// Good: count in the task's mailbox and merge at the barrier in dispatch
-/// order.
-pub fn r6_shard_isolation(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if !ctx.in_scope(R1_SCOPE) || R6_EXEMPT.contains(&ctx.path) {
-        return;
-    }
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if ctx.in_test[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let msg = match t.text.as_str() {
-            "Mutex" | "RwLock" | "Condvar" => Some(format!(
-                "`{}` shares state across threads outside the barrier protocol; cross-shard values must travel through dvelm_sim mailboxes (WorkerPool rounds)",
-                t.text
-            )),
-            "mpsc" => Some(
-                "`mpsc` channels order messages by scheduling, not by dispatch key; use dvelm_sim mailboxes drained at the barrier".to_string(),
-            ),
-            "thread" if path_call(&ctx.toks, i, "spawn") || path_call(&ctx.toks, i, "scope") => {
-                Some(
-                    "ad-hoc threads bypass the worker pool's barrier; run parallel work through dvelm_sim::par::WorkerPool".to_string(),
-                )
-            }
-            s if s.starts_with("Atomic") && s.len() > "Atomic".len() => Some(format!(
-                "`{}` is scheduling-ordered shared state; shard results belong in per-task mailboxes merged in dispatch order",
-                t.text
-            )),
-            _ => None,
-        };
-        if let Some(msg) = msg {
-            out.push(diag(ctx, i, "R6", "shard-isolation", Severity::Error, msg));
-        }
-    }
-}
-
 /// Classify the item following a `pub` at index `i`: returns
 /// `(kind, name)` — e.g. `("fn", "route_out")` or `("field", "local_port")`.
 fn item_after_pub(toks: &[Tok], i: usize) -> Option<(&'static str, String)> {
@@ -564,36 +510,6 @@ mod tests {
     fn r4_flags_unwrap_but_not_unwrap_or() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0); x.unwrap() }";
         assert_eq!(rules_hit("crates/core/src/x.rs", src), vec![("R4", 1)]);
-    }
-
-    #[test]
-    fn r6_flags_primitives_in_scope_only() {
-        let src = "use std::sync::Mutex;\nstatic N: AtomicU64 = AtomicU64::new(0);\n";
-        assert_eq!(
-            rules_hit("crates/cluster/src/x.rs", src),
-            vec![("R6", 1), ("R6", 2), ("R6", 2)]
-        );
-        // Out of the simulation family: free to use what it likes.
-        assert!(rules_hit("crates/metrics/src/x.rs", src).is_empty());
-        // The sanctioned pool module is exempt.
-        assert!(rules_hit("crates/sim/src/par.rs", src).is_empty());
-    }
-
-    #[test]
-    fn r6_flags_adhoc_threads_but_not_pool_use() {
-        let bad = "fn f() { std::thread::spawn(|| {}); }";
-        assert_eq!(rules_hit("crates/sim/src/x.rs", bad), vec![("R6", 1)]);
-        let good = "fn f(pool: &WorkerPool, tasks: &mut [T]) { pool.run_tasks(tasks, run); }";
-        assert!(rules_hit("crates/sim/src/x.rs", good).is_empty());
-        // `thread` not followed by ::spawn/::scope (e.g. a field) is fine.
-        let field = "struct S { thread: u8 }";
-        assert!(rules_hit("crates/sim/src/x.rs", field).is_empty());
-    }
-
-    #[test]
-    fn r6_ignores_test_code() {
-        let src = "#[cfg(test)]\nmod tests { use std::sync::Mutex; }\n";
-        assert!(rules_hit("crates/cluster/src/x.rs", src).is_empty());
     }
 
     #[test]

@@ -89,18 +89,6 @@ fn r5_undoc_fixture() {
 }
 
 #[test]
-fn r6_shard_fixture() {
-    check_golden("r6_shard.rs", "crates/cluster/src/fixture.rs", "R6");
-    // The sanctioned pool module is the one place these primitives belong:
-    // the same source under the exempt path lints clean.
-    let rendered = render("r6_shard.rs", "crates/sim/src/par.rs");
-    assert!(
-        rendered.is_empty(),
-        "crates/sim/src/par.rs is R6-exempt:\n{rendered}"
-    );
-}
-
-#[test]
 fn clean_fixture_is_silent() {
     let rendered = render("clean.rs", "crates/stack/src/fixture.rs");
     assert!(

@@ -5,6 +5,8 @@
 //! its [`MigrationReport`](dvelm_migrate::MigrationReport) and per-phase
 //! timeline.
 
+#![forbid(unsafe_code)]
+
 pub mod chart;
 pub mod series;
 pub mod stats;

@@ -23,6 +23,8 @@
 //!   chaos soaks can run to completion and report everything they saw; a
 //!   condition that persists across sweeps is recorded once.
 
+#![forbid(unsafe_code)]
+
 use dvelm_proc::Pid;
 use dvelm_sim::SimTime;
 use std::collections::BTreeMap;

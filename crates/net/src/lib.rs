@@ -14,6 +14,8 @@
 //! in `dvelm-cluster` pairs those times with the actual packet objects and
 //! schedules delivery events.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod interest;
 pub mod link;

@@ -129,27 +129,6 @@ impl BroadcastRouter {
         self.downlinks.keys().copied()
     }
 
-    /// The smallest propagation latency of any link the router can put a
-    /// frame on (templates included, so attaching later hosts cannot lower
-    /// it). This is the conservative lookahead of the parallel core: every
-    /// packet handed to the router arrives at least this much after `now`,
-    /// so events already queued for the current instant form a closed set.
-    pub fn min_latency_us(&self) -> u64 {
-        let links = [&self.link_template, &self.client_template];
-        let live = self
-            .downlinks
-            .values()
-            .chain(self.uplinks.values())
-            .chain(self.client_downlinks.values())
-            .chain(self.client_uplinks.values());
-        links
-            .into_iter()
-            .chain(live)
-            .map(|l| l.latency_us)
-            .min()
-            .unwrap_or(0)
-    }
-
     /// A client host sends an inbound frame: it traverses the client's
     /// uplink once, then is broadcast over every node downlink. Returns the
     /// per-node arrival instants (empty if the uplink dropped it).

@@ -10,6 +10,8 @@
 //! ready-made scenario builder, and the tcpdump-style trace analysis that
 //! regenerates Fig. 4.
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod scenario;
 pub mod trace;

@@ -17,6 +17,8 @@
 //! accounted at full page size, while restore correctness is checked by
 //! fingerprint equality.
 
+#![forbid(unsafe_code)]
+
 pub mod fdtable;
 pub mod mem;
 pub mod process;

@@ -3,9 +3,9 @@
 //!
 //! The sequence number guarantees FIFO order among events scheduled for the
 //! same instant, which makes the whole simulation deterministic regardless of
-//! heap internals. The ordering pair is public as [`DispatchKey`] so the
-//! sharded scheduler's barrier merge and the heap provably sort by the same
-//! key.
+//! heap internals. The ordering pair is public as [`DispatchKey`] so callers
+//! can name an event's place in the total order (the scheduler's reserved
+//! keys, a dispatcher that needs the key it popped under).
 //!
 //! Each heap entry is a 24-byte `(key, slot)` pair; the event stays put in
 //! slot `slot` of the slab from push to pop. A heap sift therefore moves 24
@@ -20,15 +20,12 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// The total order every event dispatches in: due time first, then the
-/// globally monotone insertion sequence as the tie-break. Two queues (or N
-/// shards) merged by `DispatchKey` reproduce exactly the pop order a single
-/// queue would have produced, which is the invariant the parallel core's
-/// barrier merge rests on.
+/// monotone insertion sequence as the tie-break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DispatchKey {
     /// Absolute due instant.
     pub at: SimTime,
-    /// Insertion sequence; unique across all shards of one scheduler.
+    /// Insertion sequence; unique within one queue.
     pub seq: u64,
 }
 
@@ -110,10 +107,9 @@ impl<E> EventQueue<E> {
         DispatchKey { at, seq }
     }
 
-    /// Schedule `event` under an externally allocated dispatch key: one
-    /// handed out by [`reserve`](Self::reserve), or by the sharded
-    /// scheduler's counter shared by all shards so the N-way merge stays a
-    /// total order.
+    /// Schedule `event` under an externally allocated dispatch key, usually
+    /// one handed out by [`reserve`](Self::reserve). Later sequence numbers
+    /// continue past the largest key pushed.
     pub fn push_keyed(&mut self, key: DispatchKey, event: E) {
         self.next_seq = self.next_seq.max(key.seq + 1);
         let slot = self.free.pop().unwrap_or_else(|| {

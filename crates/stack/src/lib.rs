@@ -21,6 +21,8 @@
 //! [`StackEffect`]s (segments to transmit, data to deliver,
 //! timers to arm) that the cluster runtime turns into events.
 
+#![forbid(unsafe_code)]
+
 /// Incoming-packet capture for loss prevention during migration (§V-B).
 pub mod capture;
 /// The per-node stack: socket table, ehash/bhash, timers, migration ops.

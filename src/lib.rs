@@ -26,6 +26,8 @@
 //! `EXPERIMENTS.md` for paper-vs-measured results. The
 //! [`prelude`] re-exports what examples and downstream users typically need.
 
+#![forbid(unsafe_code)]
+
 pub use dvelm_ckpt as ckpt;
 pub use dvelm_cluster as cluster;
 pub use dvelm_dve as dve;

@@ -6,15 +6,10 @@
 //! or unseeded RNG leaks into the simulation (lint rule R1), the two logs
 //! diverge here long before a figure regenerates differently.
 //!
-//! Since the parallel core landed, the contract is two-dimensional: the
-//! same world must also produce byte-identical effect streams at *any*
-//! worker-thread count. The chaos scenario is replayed at 1, 2 and 8
-//! shards, and a broadcast-heavy scenario (unlimited capture budget, so
-//! rx rounds stay active even while migrations are in flight) at 1, 2
-//! and 4 — the latter is the path where deliveries genuinely fan out
-//! across the worker pool.
+//! The same run-twice contract covers a broadcast-heavy UDP scenario, its
+//! interest-routed (AOI) counterpart, and the residual-dependency scale
+//! cells.
 
-use dvelm::cluster::shards_from_env;
 use dvelm::lb::AdmissionConfig;
 use dvelm::migrate::OverloadGuard;
 use dvelm::openarena::apps::{OaClient, OaServer, OA_PORT};
@@ -47,26 +42,14 @@ impl App for Worker {
 }
 
 /// One full replay of the soak scenario: returns the rendered effect log
-/// and the final clock. Runs at the environment's default shard count
-/// (`DVELM_SHARDS` or 1), so the CI shard matrix replays it sharded.
-fn replay() -> (Vec<String>, SimTime) {
-    replay_with(shards_from_env().unwrap_or(1))
-}
-
-/// The soak replay at an explicit worker-thread count.
-fn replay_with(threads: usize) -> (Vec<String>, SimTime) {
-    replay_full(threads, false)
-}
-
-/// The soak replay with the invariant monitor optionally armed. The monitor
+/// and the final clock. The invariant monitor is optionally armed; it
 /// observes the run without scheduling events or drawing randomness, so the
 /// `monitored == plain` comparison in
 /// [`monitor_does_not_perturb_the_stream`] is the zero-cost-when-disabled
 /// contract stated as a byte equality.
-fn replay_full(threads: usize, monitored: bool) -> (Vec<String>, SimTime) {
+fn replay(monitored: bool) -> (Vec<String>, SimTime) {
     let mut w = World::new(WorldConfig {
         seed: SOAK_SEED,
-        threads,
         admission: AdmissionConfig {
             max_cluster_migrations: MIG_CAP,
             max_node_migrations: 1,
@@ -77,7 +60,7 @@ fn replay_full(threads: usize, monitored: bool) -> (Vec<String>, SimTime) {
             max_stagnant_rounds: Some(8),
             // Mirror the chaos soak: non-converging precopies escalate to
             // hybrid switch-overs, so the replay also proves the
-            // demand-resolve path is shard-count-deterministic.
+            // demand-resolve path is deterministic.
             escalate_nonconverging: true,
         },
         capture_budget: CaptureBudget::bounded(CAPTURE_PACKETS, CAPTURE_BYTES),
@@ -194,8 +177,8 @@ fn replay_full(threads: usize, monitored: bool) -> (Vec<String>, SimTime) {
 /// monitor armed are the same figures.
 #[test]
 fn monitor_does_not_perturb_the_stream() {
-    let (plain, end_plain) = replay_full(1, false);
-    let (monitored, end_monitored) = replay_full(1, true);
+    let (plain, end_plain) = replay(false);
+    let (monitored, end_monitored) = replay(true);
     assert_eq!(
         end_plain, end_monitored,
         "monitored and plain replays must end at the same instant"
@@ -253,50 +236,42 @@ fn monitor_does_not_perturb_figures() {
 
 /// The residual-dependency strategies go through demand-fetch and
 /// write-back queues that post-copy work shares with ordinary traffic —
-/// the scale cell's deterministic fingerprint (which folds in the
-/// demand-fetch / write-back counters) must still be thread-invariant,
+/// two same-seed runs of the scale cell must agree on its deterministic
+/// fingerprint (which folds in the demand-fetch / write-back counters),
 /// and the cells must actually exercise those queues.
 #[test]
-fn residual_scale_cells_are_thread_invariant() {
+fn residual_scale_cells_replay_byte_identical() {
     use dvelm_bench::scale::{run_scale, ScaleConfig};
     use dvelm_migrate::Strategy;
 
     for strategy in [Strategy::PostCopy, Strategy::Hybrid { precopy_rounds: 2 }] {
-        let mut fingerprints = Vec::new();
-        let mut resolved = None;
-        for threads in [1usize, 2, 8] {
-            let cell = run_scale(&ScaleConfig {
-                threads,
-                strategy,
-                ..ScaleConfig::smoke()
-            });
-            assert!(
-                cell.migrations_completed > 0,
-                "{strategy}: the smoke cell must complete migrations"
-            );
-            assert!(
-                cell.demand_fetch_pages > 0 || cell.writeback_pages > 0,
-                "{strategy}: a residual-strategy cell must move pages through \
-                 the demand-fetch or write-back queue"
-            );
-            resolved.get_or_insert_with(|| cell.det_fingerprint());
-            fingerprints.push((threads, cell.det_fingerprint()));
-        }
-        let reference = resolved.unwrap();
-        for (threads, fp) in &fingerprints {
-            assert_eq!(
-                fp, &reference,
-                "{strategy}: scale-cell fingerprint must not depend on the \
-                 worker-thread count (diverged at {threads} threads)"
-            );
-        }
+        let cfg = ScaleConfig {
+            strategy,
+            ..ScaleConfig::smoke()
+        };
+        let a = run_scale(&cfg);
+        assert!(
+            a.migrations_completed > 0,
+            "{strategy}: the smoke cell must complete migrations"
+        );
+        assert!(
+            a.demand_fetch_pages > 0 || a.writeback_pages > 0,
+            "{strategy}: a residual-strategy cell must move pages through \
+             the demand-fetch or write-back queue"
+        );
+        let b = run_scale(&cfg);
+        assert_eq!(
+            a.det_fingerprint(),
+            b.det_fingerprint(),
+            "{strategy}: two same-seed runs of the scale cell must agree"
+        );
     }
 }
 
 #[test]
 fn chaos_seed_replays_byte_identical() {
-    let (log_a, end_a) = replay();
-    let (log_b, end_b) = replay();
+    let (log_a, end_a) = replay(false);
+    let (log_b, end_b) = replay(false);
     assert!(
         !log_a.is_empty(),
         "the soak scenario migrates under load balancing; an empty effect \
@@ -334,37 +309,15 @@ fn assert_logs_identical(label_a: &str, log_a: &[String], label_b: &str, log_b: 
     );
 }
 
-/// The parallel core's contract on the chaos scenario: 1, 2 and 8 shards
-/// replay the same world into byte-identical effect streams. The chaos
-/// run uses a *bounded* capture budget, so rx rounds gate themselves off
-/// while migrations are in flight — this test proves the gate itself is
-/// thread-count-deterministic (a gate that consulted anything
-/// thread-dependent would diverge here).
+/// A broadcast-heavy scenario (default unlimited capture budget), with UDP
+/// chatter from many clients and two live migrations under load: every
+/// inbound frame fans out to every node. Two same-seed replays are
+/// byte-identical.
 #[test]
-fn chaos_seed_is_shard_count_invariant() {
-    let (log_1, end_1) = replay_with(1);
-    assert!(!log_1.is_empty(), "the soak scenario must produce effects");
-    for threads in [2usize, 8] {
-        let (log_n, end_n) = replay_with(threads);
-        assert_eq!(
-            end_1, end_n,
-            "1-shard and {threads}-shard replays must end at the same instant"
-        );
-        assert_logs_identical("1-shard", &log_1, &format!("{threads}-shard"), &log_n);
-    }
-}
-
-/// A broadcast-heavy scenario where rx rounds are *active* (default
-/// unlimited capture budget), with UDP chatter from many clients and two
-/// live migrations under load: the path where same-instant deliveries
-/// genuinely fan out across the worker pool. Byte-identical at 1, 2 and
-/// 4 threads.
-#[test]
-fn parallel_rounds_replay_byte_identical() {
-    fn chatter_replay(threads: usize) -> (Vec<String>, SimTime) {
+fn broadcast_chatter_replays_byte_identical() {
+    fn chatter_replay() -> (Vec<String>, SimTime) {
         let mut w = World::new(WorldConfig {
             seed: SOAK_SEED ^ 0xbca5,
-            threads,
             ..WorldConfig::default()
         });
         w.enable_effect_log();
@@ -399,9 +352,8 @@ fn parallel_rounds_replay_byte_identical() {
         // Heartbeat broadcasts join the packet chatter.
         w.enable_load_balancing();
         w.run_for(SECOND);
-        // Two concurrent migrations while rounds stay active (unlimited
-        // capture budget): cross-shard freeze/copy/resume must not perturb
-        // the stream.
+        // Two concurrent migrations under the broadcast chatter: their
+        // freeze/copy/resume must not perturb the stream.
         w.begin_migration(pids[0], nodes[2], Strategy::IncrementalCollective)
             .expect("migration 0 admitted");
         w.begin_migration(pids[1], nodes[3], Strategy::IncrementalCollective)
@@ -410,31 +362,27 @@ fn parallel_rounds_replay_byte_identical() {
         (w.effect_log().to_vec(), w.now())
     }
 
-    let (log_1, end_1) = chatter_replay(1);
+    let (log_a, end_a) = chatter_replay();
     assert!(
-        !log_1.is_empty(),
+        !log_a.is_empty(),
         "the chatter scenario migrates under load; effects must flow"
     );
-    for threads in [2usize, 4] {
-        let (log_n, end_n) = chatter_replay(threads);
-        assert_eq!(end_1, end_n, "replays must end at the same instant");
-        assert_logs_identical("1-thread", &log_1, &format!("{threads}-thread"), &log_n);
-    }
+    let (log_b, end_b) = chatter_replay();
+    assert_eq!(end_a, end_b, "replays must end at the same instant");
+    assert_logs_identical("first", &log_a, "second", &log_b);
 }
 
 /// The same contract over the interest-managed routing path: an AOI world
 /// (each server's inbound port mapped to its zone, subscriptions moving
 /// with the two in-flight migrations through Subscribe/Unsubscribe
-/// effects) must replay byte-identically at 1, 2 and 8 shards. This is
-/// the zoned counterpart of `parallel_rounds_replay_byte_identical` —
-/// multicast delivery sets, not just broadcast fan-out, must be stable
-/// under resharding.
+/// effects) must replay byte-identically. This is the zoned counterpart of
+/// `broadcast_chatter_replays_byte_identical` — multicast delivery sets,
+/// not just broadcast fan-out, must be stable from run to run.
 #[test]
 fn aoi_rounds_replay_byte_identical() {
-    fn aoi_replay(threads: usize) -> (Vec<String>, SimTime) {
+    fn aoi_replay() -> (Vec<String>, SimTime) {
         let mut w = World::new(WorldConfig {
             seed: SOAK_SEED ^ 0xa01,
-            threads,
             aoi: true,
             ..WorldConfig::default()
         });
@@ -471,7 +419,7 @@ fn aoi_rounds_replay_byte_identical() {
         w.enable_load_balancing();
         w.run_for(SECOND);
         // Two concurrent migrations drag their zone subscriptions across
-        // the interest table while zoned rounds stay active.
+        // the interest table.
         w.begin_migration(pids[0], nodes[2], Strategy::IncrementalCollective)
             .expect("migration 0 admitted");
         w.begin_migration(pids[1], nodes[3], Strategy::IncrementalCollective)
@@ -480,14 +428,12 @@ fn aoi_rounds_replay_byte_identical() {
         (w.effect_log().to_vec(), w.now())
     }
 
-    let (log_1, end_1) = aoi_replay(1);
+    let (log_a, end_a) = aoi_replay();
     assert!(
-        log_1.iter().any(|l| l.contains("Subscribe")),
+        log_a.iter().any(|l| l.contains("Subscribe")),
         "the zoned scenario must route subscriptions through the effect stream"
     );
-    for threads in [2usize, 8] {
-        let (log_n, end_n) = aoi_replay(threads);
-        assert_eq!(end_1, end_n, "replays must end at the same instant");
-        assert_logs_identical("1-shard", &log_1, &format!("{threads}-shard"), &log_n);
-    }
+    let (log_b, end_b) = aoi_replay();
+    assert_eq!(end_a, end_b, "replays must end at the same instant");
+    assert_logs_identical("first", &log_a, "second", &log_b);
 }
